@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import SCENARIOS, ConfigError, ExperimentConfig
+from .config import BUDGET_KEYS, SCENARIOS, ConfigError, ExperimentConfig
 from .memory import IntegrationError
 from .scenarios import emit_report, run
 from .tomography import NonConvergenceError
@@ -48,7 +48,7 @@ def load_config(args) -> ExperimentConfig:
         cfg = cfg.with_overrides(**overrides)
     if args.shots is not None:
         scen = cfg.scenario
-        key = {"ti_qm": "heralds", "chsh": "trials"}.get(scen, "shots")
+        key = BUDGET_KEYS.get(scen, "shots")
         cfg = cfg.with_overrides(scenarios={scen: {key: args.shots}})
     return cfg
 

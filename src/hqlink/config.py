@@ -20,6 +20,9 @@ from .photon import JitterParams, NoiseParams
 
 SCENARIOS = ("ion_photon", "post_qfc", "ti_qm", "chsh", "budget", "afc_sweep",
              "bandwidth_sweep")
+# Scenario field that holds the shot budget of each sampled scenario.
+BUDGET_KEYS = {"ion_photon": "shots", "post_qfc": "shots", "ti_qm": "heralds",
+               "chsh": "trials"}
 
 
 class ConfigError(ValueError):
@@ -181,8 +184,9 @@ class ExperimentConfig:
         if scenario not in SCENARIOS:
             errors.append(f"scenario: {scenario!r} not one of {SCENARIOS}")
         seed = cfg.get("master_seed")
-        if not isinstance(seed, int):
-            errors.append(f"master_seed: expected an explicit integer, got {seed!r}")
+        if not isinstance(seed, int) or seed < 0:
+            errors.append(f"master_seed: expected an explicit nonnegative integer, "
+                          f"got {seed!r}")
         out_dir = cfg.get("output_dir")
         if not isinstance(out_dir, str) or not out_dir:
             errors.append(f"output_dir: expected a nonempty string, got {out_dir!r}")
@@ -323,6 +327,13 @@ def _validate_sections(errors: list, cfg: dict):
         for key in needed:
             if key not in sec:
                 errors.append(f"scenarios.{scen}.{key}: missing")
+        key = BUDGET_KEYS.get(scen)
+        if key in sec:
+            # at least one shot per measurement setting
+            v, least = sec[key], 4 if scen == "chsh" else 9
+            if not isinstance(v, int) or v < least:
+                errors.append(f"scenarios.{scen}.{key}: expected an integer >= {least}, "
+                              f"got {v!r}")
     elif scen in SCENARIOS and scen != "budget":
         errors.append(f"scenarios.{scen}: section missing")
 

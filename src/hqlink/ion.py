@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize, special
 
 from .qstate import PureState, QuantumChannel, dephasing_channel
 from .rng import as_rng
@@ -178,7 +178,7 @@ def calibrate_spam_background(dark_fidelity: float, threshold: float = 1.5) -> f
     kmax = int(math.floor(threshold))
 
     def err(mu):
-        return stats.poisson.sf(kmax, mu) - (1 - dark_fidelity)
+        return special.pdtrc(kmax, mu) - (1 - dark_fidelity)
 
     return float(optimize.brentq(err, 1e-12, 5.0, xtol=1e-14))
 
@@ -192,12 +192,14 @@ def calibrate_spam_leak(bright_fidelity: float, mean_bright: float = 12.0,
     def bright_error(lam):
         # counts = min(N, L) + B with N ~ Poisson(mean), P(L >= k) = (1-lam)^k
         def surv_min(k):
-            return stats.poisson.sf(k - 1, mean_bright) * (1 - lam) ** k
+            # P(N >= k) is the Poisson survival function at k - 1, and 1 at k = 0
+            survival = special.pdtrc(k - 1, mean_bright) if k > 0 else 1.0
+            return survival * (1 - lam) ** k
 
         total = 0.0
         for k in range(kmax + 1):
             p_min_k = surv_min(k) - surv_min(k + 1)
-            total += p_min_k * stats.poisson.cdf(kmax - k, background_mean)
+            total += p_min_k * special.pdtr(kmax - k, background_mean)
         return total
 
     def err(lam):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import budget as bd
 from . import memory, tomography
-from .config import ExperimentConfig, error_budget_rows, rate_chains
+from .config import BUDGET_KEYS, ExperimentConfig, error_budget_rows, rate_chains
 from .ion import decoherence_channel, emit_entangled_state
 from .photon import (
     dark_noise_admixture,
@@ -167,7 +167,7 @@ def _run_tomography(cfg: ExperimentConfig) -> RunReport:
     report.add("analytic_fidelity", analytic_fidelity(cfg, cfg.scenario))
     report.add("herald_probability", herald_prob)
 
-    total = int(scen.get("heralds") or scen.get("shots"))
+    total = int(scen[BUDGET_KEYS[cfg.scenario]])
     per_setting = tomography.split_heralds(total)
     shots_map = {(s.ion_axis, s.photon_axis): n
                  for s, n in zip(tomography.all_settings(), per_setting)}

@@ -34,7 +34,7 @@ OUTCOME_ORDER = ("++", "+-", "-+", "--")
 
 
 class NonConvergenceError(RuntimeError):
-    """MLE failed to converge; carries the final gradient norm."""
+    """MLE failed to converge; carries the final gradient norm per count."""
 
     def __init__(self, message: str, gradient_norm: float):
         super().__init__(message)
@@ -145,134 +145,95 @@ def split_heralds(total: int, n_settings: int = 9) -> list[int]:
 # ---------------------------------------------------------------------------
 # maximum-likelihood reconstruction
 
+_SETTING_INDEX = {(s.ion_axis, s.photon_axis): k for k, s in enumerate(all_settings())}
+# Design matrix of the grid: row 4 k + o holds outcome o of setting k, laid
+# out so that (_DESIGN @ rho.ravel()).real are the 36 outcome probabilities
+# (tr(P rho) = sum_ij P_ji rho_ij).
+_DESIGN = (np.concatenate([setting_projectors(s) for s in all_settings()])
+           .transpose(0, 2, 1).reshape(36, 16))
+_DESIGN_PINV = np.linalg.pinv(_DESIGN)
+# A lower-triangular T as 16 reals: the real parts of the entries on and below
+# the diagonal, then the imaginary parts of those below it (flat indices).
+_LOWER = np.ravel_multi_index(np.tril_indices(4), (4, 4))
+_STRICT = np.ravel_multi_index(np.tril_indices(4, -1), (4, 4))
+# Eigenvalue floor of the linear-inversion start, which keeps T at full rank.
+_START_FLOOR = 1e-4
+# Largest accepted final gradient norm of the log-likelihood per count, taken
+# at tr(T T^dag) = 1.  Converged fits on sampled counts end below 3e-8.
+GRADIENT_TOL = 1e-5
 
-def _collect(records: list[CountRecord]):
+
+def _grid_counts(records: list[CountRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Counts (9, 4) and shots (9,) in all_settings() order; repeated
+    settings add up."""
     seen = {(r.setting.ion_axis, r.setting.photon_axis) for r in records}
     missing = [(a, b) for a in AXES for b in AXES if (a, b) not in seen]
     if missing:
         raise ValueError(f"missing settings: {missing}")
-    projs, counts = [], []
+    counts, shots = np.zeros((9, 4)), np.zeros(9)
     for r in records:
         if r.shots <= 0:
             raise ValueError("every record needs positive shots")
-        projs.append(setting_projectors(r.setting))
-        counts.append(np.array(r.counts, dtype=float))
-    return np.concatenate(projs), np.concatenate(counts)
-
-
-def _log_likelihood(counts: np.ndarray, probs: np.ndarray) -> float:
-    mask = counts > 0
-    return float(counts[mask] @ np.log(probs[mask]))
-
-
-def mle_reconstruct(records: list[CountRecord], tol: float = 1e-10,
-                    step_tol: float = 5e-11, max_iters: int = 10000) -> DensityMatrix:
-    """Maximum-likelihood two-qubit state from the 9-setting counts.
-
-    Iterates the R rho R fixed point; when a full step lowers the likelihood
-    it falls back to the diluted step (I + eps R) rho (I + eps R) with
-    eps = 0.1, which restores monotonicity.  Convergence requires both the
-    relative log-likelihood gain below ``tol`` and the iterate movement
-    (trace distance per step) below ``step_tol``.
-    """
-    projs, counts = _collect(records)
-    n_total = counts.sum()
-    rho = np.eye(4, dtype=complex) / 4
-    ll = None
-    for _ in range(max_iters):
-        probs = np.clip(np.real(np.einsum("nij,ji->n", projs, rho)), 1e-15, None)
-        r_op = np.einsum("n,nij->ij", counts / (n_total * probs), projs)
-        candidate = r_op @ rho @ r_op
-        candidate /= np.trace(candidate).real
-        cand_probs = np.clip(np.real(np.einsum("nij,ji->n", projs, candidate)), 1e-15, None)
-        new_ll = _log_likelihood(counts, cand_probs)
-        if ll is not None and new_ll < ll:
-            # oscillating fixed point: diluted step keeps the ascent monotone
-            eps = 0.1
-            step = np.eye(4) + eps * r_op
-            candidate = step @ rho @ step.conj().T
-            candidate /= np.trace(candidate).real
-            cand_probs = np.clip(np.real(np.einsum("nij,ji->n", projs, candidate)), 1e-15, None)
-            new_ll = _log_likelihood(counts, cand_probs)
-        moved = 0.5 * np.abs(np.linalg.eigvalsh(candidate - rho)).sum()
-        ll_flat = ll is not None and abs(new_ll - ll) <= tol * max(abs(ll), 1.0)
-        rho, ll = candidate, new_ll
-        if ll_flat and moved <= step_tol:
-            rho = (rho + rho.conj().T) / 2
-            return DensityMatrix(rho)
-    # fixed point is crawling; finish with gradient ascent on the Cholesky
-    # parameters, which handles the nearly-flat directions directly
-    polished = _polish_cholesky(projs, counts, rho)
-    if polished is not None:
-        return polished
-    grad = np.linalg.norm(_mle_gradient(projs, counts, rho))
-    raise NonConvergenceError(
-        f"MLE did not converge in {max_iters} iterations (gradient norm {grad:.3e})", grad)
+        k = _SETTING_INDEX[(r.setting.ion_axis, r.setting.photon_axis)]
+        counts[k] += r.counts
+        shots[k] += r.shots
+    return counts, shots
 
 
 def _pack_lower(t: np.ndarray) -> np.ndarray:
-    x = []
-    for i in range(4):
-        x.append(t[i, i].real)
-        for j in range(i):
-            x.extend((t[i, j].real, t[i, j].imag))
-    return np.array(x)
+    flat = t.ravel()
+    return np.concatenate((flat[_LOWER].real, flat[_STRICT].imag))
 
 
 def _unpack_lower(x: np.ndarray) -> np.ndarray:
-    t = np.zeros((4, 4), dtype=complex)
-    k = 0
-    for i in range(4):
-        t[i, i] = x[k]
-        k += 1
-        for j in range(i):
-            t[i, j] = x[k] + 1j * x[k + 1]
-            k += 2
-    return t
+    t = np.zeros(16, dtype=complex)
+    t[_LOWER] = x[:10]
+    t[_STRICT] += 1j * x[10:]
+    return t.reshape(4, 4)
 
 
-def _polish_cholesky(projs, counts, rho) -> DensityMatrix | None:
-    """Maximize the likelihood over rho = T T^dag / tr with T lower-triangular.
+def _neg_log_likelihood(x: np.ndarray, weights: np.ndarray):
+    """-sum_n w_n log p_n at rho = T T^dag / tr(T T^dag), and its gradient.
 
-    Analytic gradient: dLL/dT* = (R_c - C I) T / tr(T T^dag) with
-    R_c = sum_n (c_n / p_n) Pi_n and C the total count.
+    With R = sum_n (w_n / p_n) Pi_n and sum_n w_n = 1, dF/dT* is
+    (I - R) T / tr(T T^dag); each real parameter takes twice its part.
     """
-    total = counts.sum()
+    t = _unpack_lower(x)
+    norm = x @ x
+    probs = np.maximum((_DESIGN @ (t @ t.conj().T).ravel()).real / norm, 1e-15)
+    r_op = ((weights / probs) @ _DESIGN).reshape(4, 4).T
+    return -(weights @ np.log(probs)), _pack_lower((2 / norm) * (t - r_op @ t))
 
-    def neg_ll_and_grad(x):
-        t = _unpack_lower(x)
-        m = t @ t.conj().T
-        norm = np.trace(m).real
-        if norm <= 0:
-            return np.inf, np.zeros_like(x)
-        probs = np.clip(np.real(np.einsum("nij,ji->n", projs, m)) / norm, 1e-15, None)
-        nll = -float(counts[counts > 0] @ np.log(probs[counts > 0]))
-        r_c = np.einsum("n,nij->ij", counts / probs, projs)
-        g_t = -((r_c - total * np.eye(4)) @ t) / norm
-        grad = []
-        for i in range(4):
-            grad.append(2 * g_t[i, i].real)
-            for j in range(i):
-                grad.extend((2 * g_t[i, j].real, 2 * g_t[i, j].imag))
-        return nll, np.array(grad)
 
+def mle_reconstruct(records: list[CountRecord]) -> DensityMatrix:
+    """Maximum-likelihood two-qubit state from the 9-setting counts.
+
+    Maximizes the multinomial log-likelihood with BFGS over
+    rho = T T^dag / tr(T T^dag), T lower-triangular (James et al., PRA 64,
+    052312, 2001).  The start is the linear-inversion estimate with its
+    eigenvalues clipped to a small floor.  Raises NonConvergenceError when
+    the result is not finite or its final gradient norm per count exceeds
+    ``GRADIENT_TOL``.
+    """
+    counts, shots = _grid_counts(records)
+    weights = counts.ravel() / counts.sum()
+    rho = (_DESIGN_PINV @ (counts / shots[:, None]).ravel()).reshape(4, 4)
     w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
-    seed = v @ np.diag(np.sqrt(np.clip(w, 1e-12, None))) @ v.conj().T
-    x0 = _pack_lower(np.linalg.cholesky(seed @ seed.conj().T + 1e-14 * np.eye(4)))
-    res = optimize.minimize(neg_ll_and_grad, x0, jac=True, method="L-BFGS-B",
-                            options={"maxiter": 2000, "ftol": 1e-18, "gtol": 1e-14})
-    t = _unpack_lower(res.x)
-    m = t @ t.conj().T
-    norm = np.trace(m).real
-    if norm <= 0 or not np.isfinite(norm):
-        return None
-    return DensityMatrix(m / norm)
-
-
-def _mle_gradient(projs, counts, rho) -> np.ndarray:
-    probs = np.clip(np.real(np.einsum("nij,ji->n", projs, rho)), 1e-15, None)
-    r_op = np.einsum("n,nij->ij", counts / (counts.sum() * probs), projs)
-    return (r_op @ rho + rho @ r_op) / 2 - rho  # zero at the fixed point
+    w = np.maximum(w, _START_FLOOR)
+    start = np.linalg.cholesky((v * (w / w.sum())) @ v.conj().T)
+    # BFGS, not L-BFGS-B: with 16 parameters its dense update is cheap and
+    # runs in numpy, while L-BFGS-B's small LAPACK solves wake the BLAS
+    # thread pool on every iteration, which busy-waits on a second core
+    res = optimize.minimize(_neg_log_likelihood, _pack_lower(start), args=(weights,),
+                            jac=True, method="BFGS", options={"gtol": 1e-9})
+    x = res.x / np.linalg.norm(res.x)
+    grad_norm = float(np.linalg.norm(_neg_log_likelihood(x, weights)[1]))
+    if not grad_norm <= GRADIENT_TOL:  # also catches a non-finite result
+        raise NonConvergenceError(
+            f"MLE stopped at gradient norm {grad_norm:.3e} per count "
+            f"(limit {GRADIENT_TOL:g})", grad_norm)
+    t = _unpack_lower(x)
+    return DensityMatrix(t @ t.conj().T)
 
 
 def records_from_probabilities(rho: DensityMatrix, shots: float = 1.0,

@@ -179,6 +179,18 @@ class TestCli:
         assert cli.main(["--config", str(cfg_path)]) == 2
         assert "snr" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--scenario", "ti_qm", "--shots", "0"], "scenarios.ti_qm.heralds"),
+        (["--scenario", "ion_photon", "--shots", "5"], "scenarios.ion_photon.shots"),
+        (["--scenario", "chsh", "--shots", "2"], "scenarios.chsh.trials"),
+        (["--scenario", "chsh", "--seed", "-1"], "master_seed"),
+    ])
+    def test_unusable_budget_or_seed_exit_two(self, argv, field, tmp_path, capsys):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        assert field in err
+
     def test_nonconvergence_exit_three(self, monkeypatch, capsys):
         def explode(cfg):
             raise NonConvergenceError("stuck", 0.5)

@@ -5,7 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
+from hqlink import tomography
+from hqlink.config import BUDGET_KEYS, ExperimentConfig
+from hqlink.photon import dark_noise_admixture
 from hqlink.qstate import (
     DensityMatrix,
     Observable,
@@ -17,16 +21,19 @@ from hqlink.qstate import (
     werner,
 )
 from hqlink.rng import child_rng
+from hqlink.scenarios import analytic_pipeline_state
 from hqlink.tomography import (
     ChshSettings,
     CountRecord,
     MeasurementSetting,
+    NonConvergenceError,
     all_settings,
     bootstrap_uncertainty,
     born_probabilities,
     chsh,
     mle_reconstruct,
     records_from_probabilities,
+    setting_projectors,
     simulate_counts,
     simulate_tomography,
     split_heralds,
@@ -121,6 +128,45 @@ class TestMle:
                     for s, c in zip(all_settings(), counts)]
             est = mle_reconstruct(recs)
             assert est.eigenvalues().min() >= -1e-9
+
+    def test_unconverged_fit_raises(self, monkeypatch):
+        # an optimizer that stops where it started leaves the gradient of the
+        # linear-inversion start, which is far from zero on sampled counts
+        def stall(fun, x0, **kwargs):
+            return optimize.OptimizeResult(x=np.array(x0), success=False, nit=0)
+        monkeypatch.setattr(tomography.optimize, "minimize", stall)
+        recs = simulate_tomography(werner(0.85), 200, 28.0, child_rng(10, "stall"))
+        with pytest.raises(NonConvergenceError) as err:
+            mle_reconstruct(recs)
+        assert err.value.gradient_norm > tomography.GRADIENT_TOL > 0
+
+    @pytest.mark.parametrize("scenario", ["ti_qm", "ion_photon"])
+    def test_sampled_fits_are_optimal(self, scenario):
+        # low-count mixed state (ti_qm) and bright near-pure state (ion_photon)
+        cfg = ExperimentConfig.defaults(scenario)
+        sec = cfg.scenario_section()
+        total = sec[BUDGET_KEYS[scenario]]
+        state, _, _ = analytic_pipeline_state(cfg, scenario)
+        source = dark_noise_admixture(state, sec["snr"]).matrix
+        shots = {(s.ion_axis, s.photon_axis): n
+                 for s, n in zip(all_settings(), split_heralds(total))}
+        for i in range(10):
+            recs = simulate_tomography(state, shots, sec["snr"], child_rng(i, scenario))
+            m = mle_reconstruct(recs).matrix
+            assert np.max(np.abs(m - m.conj().T)) <= 1e-9
+            assert np.trace(m).real == pytest.approx(1.0, abs=1e-9)
+            assert np.linalg.eigvalsh(m).min() >= -1e-9
+            projs = np.concatenate([setting_projectors(r.setting) for r in recs])
+            counts = np.concatenate([r.counts for r in recs])
+            probs = np.real(np.einsum("nij,ji->n", projs, m))
+            # stationarity of the likelihood: R <= N and R rho = N rho
+            r_op = np.einsum("n,nij->ij", counts / probs, projs) / counts.sum()
+            assert np.linalg.eigvalsh(r_op).max() <= 1 + 1e-6
+            assert np.linalg.norm(r_op @ m - m) <= 1e-6
+            # the maximum is no less likely than the state the counts came from
+            p_src = np.real(np.einsum("nij,ji->n", projs, source))
+            used = counts > 0
+            assert counts[used] @ np.log(probs[used]) >= counts[used] @ np.log(p_src[used])
 
 
 class TestChsh:
