@@ -9,7 +9,6 @@ import argparse
 import sys
 
 from .config import BUDGET_KEYS, SCENARIOS, ConfigError, ExperimentConfig
-from .memory import IntegrationError
 from .scenarios import emit_report, run
 from .tomography import NonConvergenceError
 
@@ -63,9 +62,6 @@ def main(argv=None) -> int:
     try:
         report = run(cfg)
     except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except IntegrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     try:

@@ -23,6 +23,9 @@ SCENARIOS = ("ion_photon", "post_qfc", "ti_qm", "chsh", "budget", "afc_sweep",
 # Scenario field that holds the shot budget of each sampled scenario.
 BUDGET_KEYS = {"ion_photon": "shots", "post_qfc": "shots", "ti_qm": "heralds",
                "chsh": "trials"}
+# Start and stop fields of each sweep scenario's range.
+SWEEP_RANGES = {"afc_sweep": ("t_start_ns", "t_stop_ns"),
+                "bandwidth_sweep": ("df_start_mhz", "df_stop_mhz")}
 
 
 class ConfigError(ValueError):
@@ -295,8 +298,9 @@ def _validate_sections(errors: list, cfg: dict):
                 "signal_rate_hz", "noise_rate_hz"):
         if key not in rates:
             errors.append(f"rates.{key}: missing")
-        elif not isinstance(rates[key], (int, float)) or rates[key] <= 0:
-            errors.append(f"rates.{key}: expected a positive number, got {rates[key]!r}")
+        elif not _finite_number(rates[key]) or rates[key] <= 0:
+            errors.append(f"rates.{key}: expected a positive finite number, "
+                          f"got {rates[key]!r}")
     pipeline = cfg.get("pipeline", {})
     for key in ("qfc_process_fidelity", "excitation_error", "spam_error",
                 "mw_rotation_error", "pi_collection_error"):
@@ -334,8 +338,34 @@ def _validate_sections(errors: list, cfg: dict):
             if not isinstance(v, int) or v < least:
                 errors.append(f"scenarios.{scen}.{key}: expected an integer >= {least}, "
                               f"got {v!r}")
+        if scen in SWEEP_RANGES:
+            _validate_sweep(errors, scen, sec)
     elif scen in SCENARIOS and scen != "budget":
         errors.append(f"scenarios.{scen}: section missing")
+
+
+def _finite_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _validate_sweep(errors: list, scen: str, sec: dict):
+    """At least two points over a finite, increasing range (storage times >= 0)."""
+    points = sec.get("points")
+    if "points" in sec and (not isinstance(points, int) or points < 2):
+        errors.append(f"scenarios.{scen}.points: expected an integer >= 2, got {points!r}")
+    start_key, stop_key = SWEEP_RANGES[scen]
+    bounds = [sec.get(k) for k in (start_key, stop_key)]
+    for key, v in zip((start_key, stop_key), bounds):
+        if key in sec and not _finite_number(v):
+            errors.append(f"scenarios.{scen}.{key}: expected a finite number, got {v!r}")
+    if not all(map(_finite_number, bounds)):
+        return
+    start, stop = bounds
+    if not start < stop:
+        errors.append(f"scenarios.{scen}.{start_key}: {start!r} is not below "
+                      f"{stop_key} = {stop!r}")
+    if scen == "afc_sweep" and start < 0:
+        errors.append(f"scenarios.{scen}.{start_key}: storage time {start!r} is negative")
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,6 @@ COMB_B = math.sqrt(math.pi) / math.sqrt(4 * math.log(2))
 FINESSE_CONSISTENCY_RTOL = 0.02  # fitted finesse vs delta/gamma, rounding headroom
 
 
-class IntegrationError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 @dataclass(frozen=True)
 class CombParams:
     """AFC comb parameters.
@@ -75,6 +71,10 @@ class SpectralModel:
     detuning_mhz: float = 0.0
 
     def __post_init__(self):
+        for name in ("gamma_natural_mhz", "zeeman_split_mhz", "qm_bandwidth_mhz",
+                     "detuning_mhz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.gamma_natural_mhz <= 0 or self.qm_bandwidth_mhz <= 0:
             raise ValueError("widths must be positive")
         if self.zeeman_split_mhz < 0:
@@ -98,7 +98,11 @@ def afc_efficiency(c: CombParams, t_storage_ns: float) -> float:
 
 
 def spectral_density(f_mhz: float, m: SpectralModel):
-    """Max-normalized emission spectrum, incoherent sum of two Lorentzians."""
+    """Emission spectrum, incoherent sum of two Lorentzians.
+
+    Each component peaks at 1, so the sum reaches 2 where the components
+    coincide (zero Zeeman splitting).
+    """
     hw = m.gamma_natural_mhz / 2.0
     c = m.zeeman_split_mhz / 2.0
     f = np.asarray(f_mhz, dtype=float)
@@ -106,54 +110,25 @@ def spectral_density(f_mhz: float, m: SpectralModel):
     return float(val) if np.isscalar(f_mhz) else val
 
 
-def _adaptive_simpson(fun, a: float, b: float, tol: float, max_depth: int = 50) -> float:
-    """Recursive adaptive Simpson quadrature with an absolute tolerance."""
-
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6 * (flo + 4 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, eps, depth):
-        mid = (lo + hi) / 2
-        lmid, rmid = (lo + mid) / 2, (mid + hi) / 2
-        flm, frm = fun(lmid), fun(rmid)
-        left = simpson(lo, mid, flo, flm, fmid)
-        right = simpson(mid, hi, fmid, frm, fhi)
-        if depth <= 0:
-            raise IntegrationError(
-                f"adaptive Simpson did not converge on [{lo}, {hi}] (residual {left + right - whole:.3e})")
-        if abs(left + right - whole) <= 15 * eps:
-            return left + right + (left + right - whole) / 15
-        return (recurse(lo, mid, flo, flm, fmid, left, eps / 2, depth - 1)
-                + recurse(mid, hi, fmid, frm, fhi, right, eps / 2, depth - 1))
-
-    fa, fb = fun(a), fun(b)
-    fm = fun((a + b) / 2)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def bandwidth_match(m: SpectralModel, tol: float = 1e-8) -> float:
+def bandwidth_match(m: SpectralModel) -> float:
     """Fraction of the photon spectrum inside the memory band.
 
-    Integrates the spectrum over [-B/2 + df, B/2 + df] with adaptive Simpson
-    and normalizes by the full-line integral (computed over +-10 linewidths
-    plus the analytic arctan tails).
-    """
-    fun = lambda f: spectral_density(f, m)
-    half = m.qm_bandwidth_mhz / 2.0
-    df = m.detuning_mhz
-    numerator = _adaptive_simpson(fun, -half + df, half + df, tol)
+    The band is [df - B/2, df + B/2].  A Lorentzian of half-width hw = gamma/2
+    centred at s*c (c = zeeman/2, s = +-1) puts
+    [atan((B/2 + df - s*c)/hw) + atan((B/2 - df + s*c)/hw)] / pi of its weight
+    inside it; the two components weigh the same, so
 
-    span = 10 * m.gamma_natural_mhz + m.zeeman_split_mhz
-    body = _adaptive_simpson(fun, -span, span, tol)
+        eta = sum_{s=+-1} [atan((B/2 + df - s*c)/hw) + atan((B/2 - df + s*c)/hw)] / (2 pi),
+
+    clamped to [0, 1].  The terms pair up so that eta is exactly even in df.
+    """
     hw = m.gamma_natural_mhz / 2.0
     c = m.zeeman_split_mhz / 2.0
-    # arctan tails of both Lorentzian components beyond +-span
-    tails = hw * sum(
-        math.pi / 2 - math.atan((span - s * c) / hw) + math.pi / 2 - math.atan((span + s * c) / hw)
-        for s in (+1, -1))
-    denominator = body + tails
-    return min(max(numerator / denominator, 0.0), 1.0)
+    half = m.qm_bandwidth_mhz / 2.0
+    df = m.detuning_mhz
+    total = sum(math.atan((half + df - s * c) / hw) + math.atan((half - df + s * c) / hw)
+                for s in (+1, -1))
+    return min(max(total / (2 * math.pi), 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,42 +257,50 @@ def _population_after_sequence(transitions: dict, x: float, windows: list[Interv
 
 def effective_depth(plan: PumpPlan, native_d: float, strengths: dict,
                     include_transmission_pump: bool = True,
-                    partial_weight: float = 0.5, grid_points: int = 400) -> float:
+                    partial_weight: float = 0.5) -> float:
     """Band-averaged absorption depth after the pump sequence.
 
-    ``strengths`` maps each (ground, excited) transition to its relative
-    oscillator strength.  The sequence is: optional transmission pump over
-    the target band, then the plan's enhancement windows in order.  The
-    native depth scales by the ratio of pumped to equilibrium band
-    absorption.
+    ``strengths`` maps each (ground, excited) transition k to its relative
+    oscillator strength s_k.  The sequence is: optional transmission pump over
+    the target band [lo, hi], then the plan's enhancement windows in order.
+    With p_g(x) the population of ground level g at detuning x after the
+    sequence, T_k the offset of transition k and g_k its ground level, the
+    native depth scales by the ratio of pumped to equilibrium band absorption:
+
+        d = native_d * sum_k s_k <p_{g_k}>_k / sum_k (s_k / n_levels),
+        <p_g>_k = (1 / (hi - lo)) * integral_lo^hi p_g(f - T_k) df.
+
+    p_g(f - T_k) only changes where f - T_k + T_t crosses an edge of a window
+    or of the target band, so each band average is an exact sum over the
+    sub-intervals between those points, each weighted by its length and
+    evaluated at its midpoint.
     """
     if native_d < 0:
         raise ValueError("native depth must be nonnegative")
-    if not plan.pump_windows and not include_transmission_pump:
-        return native_d
     windows = list(plan.pump_windows)
-    if windows and include_transmission_pump:
-        windows = [plan.target] + windows
     if not windows:
         return native_d
+    if include_transmission_pump:
+        windows = [plan.target] + windows
     n_levels = len({g for g, _ in plan.transitions})
     lo, hi = plan.target
-    fs = np.linspace(lo, hi, grid_points + 1)[:-1] + (hi - lo) / (2 * grid_points)
+    edges = {e for w in (*windows, plan.target) for e in w}
     post = 0.0
     native = 0.0
     for key, s in strengths.items():
         if key not in plan.transitions:
             raise ValueError(f"strength given for unknown transition {key}")
         offset = plan.transitions[key]
-        ground = key[0]
+        points = {e + offset - t for e in edges for t in plan.transitions.values()}
+        cuts = sorted({lo, hi} | {f for f in points if lo < f < hi})
         acc = 0.0
-        for f in fs:
-            x = f - offset
-            absorbing = {g for (g, _), t in plan.transitions.items() if lo <= t + x <= hi}
+        for a, b in zip(cuts, cuts[1:]):
+            x = (a + b) / 2 - offset
+            absorbing = _pumped_levels(plan.transitions, x, plan.target)
             pop = _population_after_sequence(plan.transitions, x, windows, absorbing,
                                              partial_weight)
-            acc += pop[ground]
-        post += s * acc / len(fs)
+            acc += (b - a) * pop[key[0]]
+        post += s * acc / (hi - lo)
         native += s / n_levels
     if native == 0:
         return 0.0

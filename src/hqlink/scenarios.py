@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -249,11 +249,7 @@ def _run_bandwidth_sweep(cfg: ExperimentConfig) -> RunReport:
     dfs = np.linspace(scen["df_start_mhz"], scen["df_stop_mhz"], int(scen["points"]))
     rows = []
     for df in dfs:
-        model = memory.SpectralModel(
-            gamma_natural_mhz=cfg.spectral.gamma_natural_mhz,
-            zeeman_split_mhz=cfg.spectral.zeeman_split_mhz,
-            qm_bandwidth_mhz=cfg.spectral.qm_bandwidth_mhz,
-            detuning_mhz=float(df))
+        model = replace(cfg.spectral, detuning_mhz=float(df))
         rows.append((round15(float(df)), round15(memory.bandwidth_match(model))))
     report.sweep_columns = ("detuning_mhz", "bandwidth_match")
     report.sweep = rows

@@ -191,6 +191,34 @@ class TestCli:
         assert "invalid configuration" in err
         assert field in err
 
+    @pytest.mark.parametrize("scenario, config, field", [
+        ("bandwidth_sweep", {"scenarios": {"bandwidth_sweep": {"points": 0}}},
+         "scenarios.bandwidth_sweep.points"),
+        ("afc_sweep", {"scenarios": {"afc_sweep": {"points": 0}}},
+         "scenarios.afc_sweep.points"),
+        ("bandwidth_sweep", {"scenarios": {"bandwidth_sweep": {"points": 1.5}}},
+         "scenarios.bandwidth_sweep.points"),
+        ("bandwidth_sweep", {"scenarios": {"bandwidth_sweep": {"df_start_mhz": float("nan")}}},
+         "scenarios.bandwidth_sweep.df_start_mhz"),
+        ("bandwidth_sweep", {"scenarios": {"bandwidth_sweep": {"df_start_mhz": 60.0}}},
+         "scenarios.bandwidth_sweep.df_start_mhz"),
+        ("bandwidth_sweep", {"spectral": {"qm_bandwidth_mhz": float("nan")}},
+         "qm_bandwidth_mhz"),
+        ("afc_sweep", {"scenarios": {"afc_sweep": {"t_start_ns": -100.0}}},
+         "scenarios.afc_sweep.t_start_ns"),
+        ("budget", {"rates": {"r_exp1_hz": float("inf")}}, "rates.r_exp1_hz"),
+    ])
+    def test_bad_memory_design_input_exit_two(self, scenario, config, field, tmp_path,
+                                              capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(config))  # NaN and Infinity literals, as json reads
+        assert cli.main(["--config", str(cfg_path), "--scenario", scenario,
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        assert field in err
+        assert not (tmp_path / "out").exists()
+
     def test_nonconvergence_exit_three(self, monkeypatch, capsys):
         def explode(cfg):
             raise NonConvergenceError("stuck", 0.5)

@@ -9,7 +9,6 @@ import pytest
 from hqlink.memory import (
     COMB_B,
     CombParams,
-    IntegrationError,
     SpectralModel,
     StarkControl,
     afc_efficiency,
@@ -110,12 +109,6 @@ class TestBandwidthMatch:
             a = bandwidth_match(SpectralModel(detuning_mhz=df))
             b = bandwidth_match(SpectralModel(detuning_mhz=-df))
             assert a == pytest.approx(b, abs=1e-8)
-
-    def test_non_convergent_quadrature_reported(self):
-        from hqlink.memory import _adaptive_simpson
-        spike = lambda f: 1.0 / (1e-12 + (f - 0.333) ** 2)
-        with pytest.raises(IntegrationError):
-            _adaptive_simpson(spike, 0.0, 1.0, 1e-12, max_depth=3)
 
     def test_spectral_density_shape(self):
         assert spectral_density(0.0, SpectralModel(zeeman_split_mhz=0.0)) == \
