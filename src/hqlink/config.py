@@ -2,7 +2,9 @@
 
 A config is one JSON document with one section per parameter group.  The
 shipped defaults carry the full published operating point, so running any
-scenario without a config file reproduces the headline numbers.
+scenario without a config file reproduces the headline numbers.  They hold
+only fields that some scenario reads, and a key that is not among them is
+rejected.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .budget import EfficiencyStage, ErrorSource, RateChain
-from .ion import ExcitationFit, IonParams, SpamParams
-from .memory import CombParams, SpectralModel, StarkControl
-from .photon import JitterParams, NoiseParams
+from .ion import IonParams, decoherence_infidelity
+from .memory import CombParams, SpectralModel
+from .photon import JitterParams, NoiseParams, jitter_infidelity
 
 SCENARIOS = ("ion_photon", "post_qfc", "ti_qm", "chsh", "budget", "afc_sweep",
              "bandwidth_sweep")
@@ -26,6 +28,15 @@ BUDGET_KEYS = {"ion_photon": "shots", "post_qfc": "shots", "ti_qm": "heralds",
 # Start and stop fields of each sweep scenario's range.
 SWEEP_RANGES = {"afc_sweep": ("t_start_ns", "t_stop_ns"),
                 "bandwidth_sweep": ("df_start_mhz", "df_stop_mhz")}
+# Label maps under ``pump``: their keys are data (level and transition
+# labels), not config fields, so any key is accepted there.
+LABEL_MAPS = ("pump.ground_offsets", "pump.excited_offsets", "pump.strengths",
+              "pump.native_d")
+# Published ledger rows with no pipeline field of their own.  Their models
+# give 0.0259 (dark_noise_infidelity at SNR 28) and 0.0024
+# (storage.residual_infidelity).
+DARK_NOISE_INFIDELITY_PUBLISHED = 0.027
+QM_STORAGE_INFIDELITY_PUBLISHED = 0.002
 
 
 class ConfigError(ValueError):
@@ -42,39 +53,13 @@ def default_config_dict() -> dict:
         "scenario": "ti_qm",
         "master_seed": 20260810,
         "output_dir": "reports",
-        "ion": {
-            "zeeman_frequency_mhz": 11.22,
-            "coherence_time_tau_ms": 0.989,
-            "excited_lifetime_ns": 8.12,
-            "branching_s12": 0.995,
-            "pi_excitation_prob": 0.960,
-        },
-        "spam": {
-            "mean_bright_counts": 12.0,
-            "threshold": 1.5,
-            "dark_fidelity": 0.998,
-            "bright_fidelity": 0.987,
-        },
-        "excitation_fit": {"A": 0.960, "alpha": math.pi, "beta": 2.0, "E": 1.0},
+        # The Zeeman frequency also sets the splitting of the emission
+        # spectrum, and the memory bandwidth also sets the comb's bandwidth.
+        "ion": {"zeeman_frequency_mhz": 11.22, "coherence_time_tau_ms": 0.989},
         "jitter": {"awg_rms_ns": 0.305, "transceiver_rms_ns": 0.056},
-        "noise": {"snr": 28.0, "pbs_extinction": 3500.0, "window_ns": 30.0,
-                  "lifetime_ns": 8.05},
-        "comb": {"d": 10.5, "gamma_comb_khz": 259.8, "delta_mhz": 2.0,
-                 "bandwidth_mhz": 48.2, "finesse": 7.7},
-        "spectral": {"gamma_natural_mhz": 19.6, "zeeman_split_mhz": 11.22,
-                     "qm_bandwidth_mhz": 48.2, "detuning_mhz": 0.0},
-        "stark": {
-            "shift_rate_khz_per_v_cm": 5.80,
-            "shift_rate_plus": 5.74,
-            "shift_rate_minus": -5.85,
-            "pulse_voltage_v": 8.6,
-            "pulse_duration_ns": 100.0,
-            "echo_period_ns": 500.0,
-            "readout_order_n": 2,
-            "first_pulse_ns": 200.0,
-            "second_pulse_ns": 750.0,
-            "second_pulse_reversed": True,
-        },
+        "noise": {"pbs_extinction": 3500.0},
+        "comb": {"d": 10.5, "gamma_comb_khz": 259.8, "delta_mhz": 2.0, "finesse": 7.7},
+        "spectral": {"gamma_natural_mhz": 19.6, "qm_bandwidth_mhz": 48.2},
         # Hyperfine offsets of the site-2 ion classes on the pump-design axis
         # (reference transition 5/2g -> 1/2e at zero) and relative transition
         # strengths.  Windows are the two enhancement chirps, applied in order.
@@ -122,7 +107,7 @@ def default_config_dict() -> dict:
         },
         # Channel-pipeline knobs shared by the tomography scenarios.  Scalar
         # error rates without a microscopic model enter as white-noise
-        # admixtures of matched infidelity.
+        # admixtures of matched infidelity, and as measured ledger rows.
         "pipeline": {
             "qfc_process_fidelity": 0.969,
             "decoherence_exponent_a": 2.0,
@@ -133,22 +118,6 @@ def default_config_dict() -> dict:
             "apply_storage_residual": True,
             "bootstrap_resamples": 200,
         },
-        "error_budget": [
-            {"name": "ion_decoherence", "infidelity": None,
-             "model_ref": "ion.decoherence_infidelity"},
-            {"name": "jitter_phase", "infidelity": None,
-             "model_ref": "photon.jitter_infidelity"},
-            {"name": "spam", "infidelity": 0.007, "model_ref": "measured"},
-            {"name": "mw_rotation", "infidelity": 0.001, "model_ref": "measured"},
-            {"name": "qfc", "infidelity": None, "model_ref": "photon.depolarizing_chi"},
-            {"name": "pulse_excitation", "infidelity": 0.033, "model_ref": "measured"},
-            {"name": "pi_collection", "infidelity": 0.005, "model_ref": "measured"},
-            {"name": "dark_noise", "infidelity": 0.027,
-             "model_ref": "photon.dark_noise_infidelity"},
-            {"name": "photon_detection_pbs", "infidelity": None,
-             "model_ref": "photon.pbs_bitflip_channel"},
-            {"name": "qm_storage", "infidelity": 0.002, "model_ref": "measured"},
-        ],
         "scenarios": {
             "ion_photon": {"shots": 62723, "snr": 1800.0, "decoherence_time_us": 1.01},
             "post_qfc": {"shots": 2714, "snr": 19.5, "decoherence_time_us": 2.17},
@@ -168,26 +137,23 @@ class ExperimentConfig:
     master_seed: int
     output_dir: str
     ion: IonParams
-    spam: SpamParams
-    excitation_fit: ExcitationFit
     jitter: JitterParams
     noise: NoiseParams
     comb: CombParams
     spectral: SpectralModel
-    stark: StarkControl
     raw: dict = field(repr=False, default_factory=dict)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         cfg = copy.deepcopy(default_config_dict())
-        _deep_update(cfg, data)
         errors: list[str] = []
+        _deep_update(cfg, data, errors)
 
         scenario = cfg.get("scenario")
         if scenario not in SCENARIOS:
             errors.append(f"scenario: {scenario!r} not one of {SCENARIOS}")
         seed = cfg.get("master_seed")
-        if not isinstance(seed, int) or seed < 0:
+        if not _integer(seed) or seed < 0:
             errors.append(f"master_seed: expected an explicit nonnegative integer, "
                           f"got {seed!r}")
         out_dir = cfg.get("output_dir")
@@ -195,25 +161,18 @@ class ExperimentConfig:
             errors.append(f"output_dir: expected a nonempty string, got {out_dir!r}")
 
         ion = _build(errors, "ion", _ion_params, cfg)
-        spam = _build(errors, "spam", _spam_params, cfg)
-        exc = _build(errors, "excitation_fit", lambda c: ExcitationFit(**c["excitation_fit"]), cfg)
         jit = _build(errors, "jitter", _jitter_params, cfg)
         noise = _build(errors, "noise", lambda c: NoiseParams(**c["noise"]), cfg)
-        comb = _build(errors, "comb", lambda c: CombParams(**c["comb"]), cfg)
-        spectral = _build(errors, "spectral", lambda c: SpectralModel(**c["spectral"]), cfg)
-        stark = _build(errors, "stark", _stark_params, cfg)
+        comb = _build(errors, "comb", lambda c: CombParams(
+            bandwidth_mhz=c["spectral"]["qm_bandwidth_mhz"], **c["comb"]), cfg)
+        spectral = _build(errors, "spectral", lambda c: SpectralModel(
+            zeeman_split_mhz=c["ion"]["zeeman_frequency_mhz"], **c["spectral"]), cfg)
         _validate_sections(errors, cfg)
-        if comb is not None and stark is not None:
-            expected = 1e3 / comb.delta_mhz
-            if abs(stark.echo_period_ns - expected) > 1e-6:
-                errors.append(
-                    f"stark.echo_period_ns: {stark.echo_period_ns} != 1/delta = {expected} ns")
 
         if errors:
             raise ConfigError(errors)
         return cls(scenario=scenario, master_seed=seed, output_dir=out_dir, ion=ion,
-                   spam=spam, excitation_fit=exc, jitter=jit, noise=noise, comb=comb,
-                   spectral=spectral, stark=stark, raw=cfg)
+                   jitter=jit, noise=noise, comb=comb, spectral=spectral, raw=cfg)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -244,10 +203,20 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(data)
 
 
-def _deep_update(base: dict, extra: dict):
+def _deep_update(base: dict, extra: dict, errors: list | None = None, path: str = ""):
+    """Merge ``extra`` into ``base``.  Given ``errors``, a key that ``base``
+    lacks, or a value that would replace a section, is reported there by its
+    dotted path and left out."""
     for k, v in extra.items():
+        key = path + str(k)
         if isinstance(v, dict) and isinstance(base.get(k), dict):
-            _deep_update(base[k], v)
+            _deep_update(base[k], v, errors, key + ".")
+        elif errors is None:
+            base[k] = v
+        elif k not in base and path[:-1] not in LABEL_MAPS:
+            errors.append(f"{key}: unknown field")
+        elif isinstance(base.get(k), dict):
+            errors.append(f"{key}: expected an object, got {v!r}")
         else:
             base[k] = v
 
@@ -263,14 +232,9 @@ def _build(errors: list, section: str, fn, cfg: dict):
 def _ion_params(cfg: dict) -> IonParams:
     sec = dict(cfg["ion"])
     freq = sec.pop("zeeman_frequency_mhz")
+    if not _finite_number(freq) or freq < 0:
+        raise ValueError(f"zeeman_frequency_mhz: expected a finite number >= 0, got {freq!r}")
     return IonParams(zeeman_omega=2 * math.pi * freq * 1e6, **sec)
-
-
-def _spam_params(cfg: dict) -> SpamParams:
-    sec = dict(cfg["spam"])
-    if "leak_per_scatter" in sec and "background_mean" in sec:
-        return SpamParams(**sec)
-    return SpamParams.calibrated(**sec)
 
 
 def _jitter_params(cfg: dict) -> JitterParams:
@@ -279,88 +243,73 @@ def _jitter_params(cfg: dict) -> JitterParams:
     return JitterParams(zeeman_omega=omega, **sec)
 
 
-def _stark_params(cfg: dict) -> StarkControl:
-    sec = {k: v for k, v in cfg["stark"].items()
-           if k not in ("shift_rate_plus", "shift_rate_minus")}
-    return StarkControl(**sec)
-
-
 def _validate_sections(errors: list, cfg: dict):
-    pump = cfg.get("pump", {})
-    for key in ("ground_offsets", "excited_offsets", "windows", "target", "strengths",
-                "native_d"):
-        if key not in pump:
-            errors.append(f"pump.{key}: missing")
-    rates = cfg.get("rates", {})
-    for key in ("r_exp1_hz", "r_exp2_hz", "r_exp3_hz", "p_pi", "p_s12", "qe_369",
-                "qe_580", "t_fib1", "t_opt", "e_obj", "eta_369", "eta_conv_h",
-                "eta_conv_v", "t_580", "t_fib2", "eta_aom", "eta_bw",
-                "signal_rate_hz", "noise_rate_hz"):
-        if key not in rates:
-            errors.append(f"rates.{key}: missing")
-        elif not _finite_number(rates[key]) or rates[key] <= 0:
-            errors.append(f"rates.{key}: expected a positive finite number, "
-                          f"got {rates[key]!r}")
-    pipeline = cfg.get("pipeline", {})
-    for key in ("qfc_process_fidelity", "excitation_error", "spam_error",
-                "mw_rotation_error", "pi_collection_error"):
-        v = pipeline.get(key)
-        if v is None:
-            errors.append(f"pipeline.{key}: missing")
-        elif not 0.0 <= float(v) <= 1.0:
-            errors.append(f"pipeline.{key}: {v} outside [0, 1]")
-    storage = cfg.get("storage", {})
-    for key in ("eta_internal_h", "eta_internal_v", "eta_device_h", "eta_device_v",
-                "residual_infidelity"):
-        v = storage.get(key)
-        if v is None:
-            errors.append(f"storage.{key}: missing")
-        elif not 0.0 <= float(v) <= 1.0:
-            errors.append(f"storage.{key}: {v} outside [0, 1]")
-    scen = cfg.get("scenario")
-    if scen in cfg.get("scenarios", {}):
-        sec = cfg["scenarios"][scen]
-        needed = {
-            "ion_photon": ("shots", "snr", "decoherence_time_us"),
-            "post_qfc": ("shots", "snr", "decoherence_time_us"),
-            "ti_qm": ("heralds", "snr", "decoherence_time_us"),
-            "chsh": ("trials", "snr", "decoherence_time_us"),
-            "afc_sweep": ("t_start_ns", "t_stop_ns", "points"),
-            "bandwidth_sweep": ("df_start_mhz", "df_stop_mhz", "points"),
-        }.get(scen, ())
-        for key in needed:
-            if key not in sec:
-                errors.append(f"scenarios.{scen}.{key}: missing")
-        key = BUDGET_KEYS.get(scen)
-        if key in sec:
-            # at least one shot per measurement setting
-            v, least = sec[key], 4 if scen == "chsh" else 9
-            if not isinstance(v, int) or v < least:
-                errors.append(f"scenarios.{scen}.{key}: expected an integer >= {least}, "
+    """Type and range checks; the merge guarantees every default key is present."""
+    for key, v in cfg["rates"].items():
+        if not _finite_number(v) or v <= 0:
+            errors.append(f"rates.{key}: expected a positive finite number, got {v!r}")
+    # closed ranges, as the channel constructors enforce them
+    for section, keys, lo, hi in (
+            ("pipeline", ("qfc_process_fidelity", "excitation_error", "spam_error",
+                          "mw_rotation_error", "pi_collection_error"), 0, 1),
+            ("pipeline", ("decoherence_exponent_a",), 1, 3),
+            ("storage", ("eta_internal_h", "eta_internal_v", "eta_device_h",
+                         "eta_device_v"), 0, 1),
+            ("storage", ("residual_infidelity",), 0, 0.5)):
+        for key in keys:
+            v = cfg[section][key]
+            if not _finite_number(v) or not lo <= v <= hi:
+                errors.append(f"{section}.{key}: expected a number in [{lo}, {hi}], "
                               f"got {v!r}")
-        if scen in SWEEP_RANGES:
-            _validate_sweep(errors, scen, sec)
-    elif scen in SCENARIOS and scen != "budget":
-        errors.append(f"scenarios.{scen}: section missing")
+    pipeline = cfg["pipeline"]
+    v = pipeline["bootstrap_resamples"]
+    if not _integer(v) or v < 100:
+        errors.append(f"pipeline.bootstrap_resamples: expected an integer >= 100, got {v!r}")
+    v = pipeline["apply_storage_residual"]
+    if not isinstance(v, bool):
+        errors.append(f"pipeline.apply_storage_residual: expected true or false, got {v!r}")
+    for scen, key in BUDGET_KEYS.items():
+        sec = cfg["scenarios"][scen]
+        # at least one shot per measurement setting
+        v, least = sec[key], 4 if scen == "chsh" else 9
+        if not _integer(v) or v < least:
+            errors.append(f"scenarios.{scen}.{key}: expected an integer >= {least}, "
+                          f"got {v!r}")
+        v = sec["snr"]  # inf allowed: no dark noise
+        if not _number(v) or not v > 0:
+            errors.append(f"scenarios.{scen}.snr: expected a number > 0, got {v!r}")
+        v = sec["decoherence_time_us"]
+        if not _finite_number(v) or v < 0:
+            errors.append(f"scenarios.{scen}.decoherence_time_us: expected a finite "
+                          f"number >= 0, got {v!r}")
+    for scen in SWEEP_RANGES:
+        _validate_sweep(errors, scen, cfg["scenarios"][scen])
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _finite_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    return _number(v) and math.isfinite(v)
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _validate_sweep(errors: list, scen: str, sec: dict):
     """At least two points over a finite, increasing range (storage times >= 0)."""
-    points = sec.get("points")
-    if "points" in sec and (not isinstance(points, int) or points < 2):
+    points = sec["points"]
+    if not _integer(points) or points < 2:
         errors.append(f"scenarios.{scen}.points: expected an integer >= 2, got {points!r}")
     start_key, stop_key = SWEEP_RANGES[scen]
-    bounds = [sec.get(k) for k in (start_key, stop_key)]
-    for key, v in zip((start_key, stop_key), bounds):
-        if key in sec and not _finite_number(v):
+    start, stop = sec[start_key], sec[stop_key]
+    for key, v in ((start_key, start), (stop_key, stop)):
+        if not _finite_number(v):
             errors.append(f"scenarios.{scen}.{key}: expected a finite number, got {v!r}")
-    if not all(map(_finite_number, bounds)):
+    if not (_finite_number(start) and _finite_number(stop)):
         return
-    start, stop = bounds
     if not start < stop:
         errors.append(f"scenarios.{scen}.{start_key}: {start!r} is not below "
                       f"{stop_key} = {stop!r}")
@@ -432,24 +381,23 @@ def rate_chains(cfg: ExperimentConfig) -> dict:
 
 
 def error_budget_rows(cfg: ExperimentConfig) -> list[ErrorSource]:
-    """Default ledger: measured rows as published, modeled rows from the models."""
-    from .ion import decoherence_infidelity
-    from .photon import jitter_infidelity, pbs_bitflip_channel  # noqa: F401
-
-    pipeline = cfg.section("pipeline")
+    """The ten-row ledger: measured rows read the pipeline fields that also
+    build their channels, modeled rows come from the models."""
+    pl = cfg.section("pipeline")
     t_us = cfg.scenario_section("ti_qm")["decoherence_time_us"]
-    computed = {
-        "ion_decoherence": decoherence_infidelity(cfg.ion, t_us,
-                                                  pipeline["decoherence_exponent_a"]),
-        "jitter_phase": jitter_infidelity(cfg.jitter),
-        "qfc": 1.0 - pipeline["qfc_process_fidelity"],
-        "photon_detection_pbs": 1.0 / cfg.noise.pbs_extinction,
-    }
-    rows = []
-    for entry in cfg.section("error_budget"):
-        inf = entry["infidelity"]
-        if inf is None:
-            inf = computed[entry["name"]]
-        rows.append(ErrorSource(name=entry["name"], infidelity=float(inf),
-                                model_ref=entry.get("model_ref")))
-    return rows
+    table = (
+        ("ion_decoherence", decoherence_infidelity(cfg.ion, t_us, pl["decoherence_exponent_a"]),
+         "ion.decoherence_infidelity"),
+        ("jitter_phase", jitter_infidelity(cfg.jitter), "photon.jitter_infidelity"),
+        ("spam", pl["spam_error"], "measured"),
+        ("mw_rotation", pl["mw_rotation_error"], "measured"),
+        ("qfc", 1.0 - pl["qfc_process_fidelity"], "photon.depolarizing_chi"),
+        ("pulse_excitation", pl["excitation_error"], "measured"),
+        ("pi_collection", pl["pi_collection_error"], "measured"),
+        ("dark_noise", DARK_NOISE_INFIDELITY_PUBLISHED, "photon.dark_noise_infidelity"),
+        ("photon_detection_pbs", 1.0 / cfg.noise.pbs_extinction,
+         "photon.pbs_bitflip_channel"),
+        ("qm_storage", QM_STORAGE_INFIDELITY_PUBLISHED, "measured"),
+    )
+    return [ErrorSource(name=name, infidelity=float(inf), model_ref=ref)
+            for name, inf, ref in table]

@@ -33,17 +33,10 @@ class IonParams:
 
     zeeman_omega: float = ZEEMAN_OMEGA_DEFAULT  # rad/s
     coherence_time_tau_ms: float = 0.989
-    excited_lifetime_ns: float = 8.12
-    branching_s12: float = 0.995
-    pi_excitation_prob: float = 0.960
 
     def __post_init__(self):
-        if self.coherence_time_tau_ms <= 0 or self.excited_lifetime_ns <= 0:
-            raise ValueError("lifetimes must be positive")
-        for name in ("branching_s12", "pi_excitation_prob"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1]")
+        if self.coherence_time_tau_ms <= 0:
+            raise ValueError("coherence time must be positive")
 
 
 @dataclass(frozen=True)

@@ -46,14 +46,11 @@ class JitterParams:
 class NoiseParams:
     """Detection-side noise figures."""
 
-    snr: float = 28.0
     pbs_extinction: float = 3500.0
     window_ns: float = 30.0
     lifetime_ns: float = 8.05
 
     def __post_init__(self):
-        if self.snr <= 0:
-            raise ValueError("snr must be positive")
         if self.pbs_extinction <= 1:
             raise ValueError("extinction ratio must exceed 1")
         if self.window_ns <= 0 or self.lifetime_ns <= 0:

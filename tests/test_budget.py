@@ -105,6 +105,15 @@ class TestErrorLedger:
         assert rows["qfc"] == pytest.approx(0.031, abs=1e-12)
         assert rows["ion_decoherence"] == pytest.approx(5.1e-6, rel=0.02)
 
+    @pytest.mark.parametrize("field, row", [
+        ("spam_error", "spam"), ("mw_rotation_error", "mw_rotation"),
+        ("excitation_error", "pulse_excitation"), ("pi_collection_error", "pi_collection"),
+    ])
+    def test_measured_rows_follow_the_pipeline(self, field, row):
+        cfg = ExperimentConfig.defaults("budget", pipeline={field: 0.01})
+        rows = {r.name: r.infidelity for r in error_budget_rows(cfg)}
+        assert rows[row] == 0.01
+
     def test_budget_agrees_with_channel_pipeline(self):
         predicted = 1 - total_infidelity(error_budget_rows(CFG), "sum")
         composed = analytic_fidelity(CFG, "ti_qm")

@@ -33,10 +33,6 @@ class TestConfig:
         assert "noise" in text
         assert len(err.value.errors) >= 4
 
-    def test_cross_field_echo_period_check(self):
-        with pytest.raises(ConfigError, match="echo_period"):
-            ExperimentConfig.from_dict({"stark": {"echo_period_ns": 400.0}})
-
     def test_overrides_nest(self):
         cfg = ExperimentConfig.defaults("ti_qm")
         cfg2 = cfg.with_overrides(scenarios={"ti_qm": {"heralds": 99}})
@@ -191,6 +187,40 @@ class TestCli:
         assert "invalid configuration" in err
         assert field in err
 
+    @pytest.mark.parametrize("config, error", [
+        ({"rates": {"eta_bww": 0.74}}, "rates.eta_bww: unknown field"),
+        ({"scenarios": {"ti_qm": {"shots": 1780}}}, "scenarios.ti_qm.shots: unknown field"),
+        ({"error_budget": [{"name": "spam", "infidelity": None}]},
+         "error_budget: unknown field"),
+        ({"stark": {"echo_period_ns": 500.0}}, "stark: unknown field"),
+        ({"spam": {"threshold": 1.5}}, "spam: unknown field"),
+        ({"spectral": {"zeeman_split_mhz": 11.22}}, "spectral.zeeman_split_mhz: unknown field"),
+        ({"rates": 5}, "rates: expected an object"),
+    ])
+    def test_unknown_field_exit_two(self, config, error, tmp_path, capsys):
+        _assert_exit_two(tmp_path, capsys, "budget", config, error)
+
+    @pytest.mark.parametrize("scenario, config, field", [
+        ("ti_qm", {"scenarios": {"ti_qm": {"snr": -2}}}, "scenarios.ti_qm.snr"),
+        ("post_qfc", {"scenarios": {"post_qfc": {"snr": float("nan")}}},
+         "scenarios.post_qfc.snr"),
+        ("ion_photon", {"scenarios": {"ion_photon": {"decoherence_time_us": float("nan")}}},
+         "scenarios.ion_photon.decoherence_time_us"),
+        ("chsh", {"scenarios": {"chsh": {"decoherence_time_us": -1.0}}},
+         "scenarios.chsh.decoherence_time_us"),
+        ("budget", {"ion": {"zeeman_frequency_mhz": float("nan")}},
+         "ion: zeeman_frequency_mhz"),
+        ("budget", {"master_seed": True}, "master_seed"),
+        ("ti_qm", {"pipeline": {"bootstrap_resamples": 5}}, "pipeline.bootstrap_resamples"),
+        ("ti_qm", {"pipeline": {"decoherence_exponent_a": 5}},
+         "pipeline.decoherence_exponent_a"),
+        ("ti_qm", {"storage": {"residual_infidelity": 0.9}}, "storage.residual_infidelity"),
+        ("chsh", {"pipeline": {"apply_storage_residual": "no"}},
+         "pipeline.apply_storage_residual"),
+    ])
+    def test_bad_value_exit_two(self, scenario, config, field, tmp_path, capsys):
+        _assert_exit_two(tmp_path, capsys, scenario, config, field)
+
     @pytest.mark.parametrize("scenario, config, field", [
         ("bandwidth_sweep", {"scenarios": {"bandwidth_sweep": {"points": 0}}},
          "scenarios.bandwidth_sweep.points"),
@@ -210,14 +240,7 @@ class TestCli:
     ])
     def test_bad_memory_design_input_exit_two(self, scenario, config, field, tmp_path,
                                               capsys):
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps(config))  # NaN and Infinity literals, as json reads
-        assert cli.main(["--config", str(cfg_path), "--scenario", scenario,
-                         "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert "invalid configuration" in err
-        assert field in err
-        assert not (tmp_path / "out").exists()
+        _assert_exit_two(tmp_path, capsys, scenario, config, field)
 
     def test_nonconvergence_exit_three(self, monkeypatch, capsys):
         def explode(cfg):
@@ -229,3 +252,15 @@ class TestCli:
     def test_unwritable_output_exit_two(self, capsys):
         code = cli.main(["--scenario", "budget", "--out", "/proc/definitely/not/writable"])
         assert code == 2
+
+
+def _assert_exit_two(tmp_path, capsys, scenario, config, field):
+    """Running ``scenario`` on ``config`` exits 2, names ``field`` and writes nothing."""
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(config))  # NaN and Infinity literals, as json reads
+    assert cli.main(["--config", str(cfg_path), "--scenario", scenario,
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err
+    assert field in err
+    assert not (tmp_path / "out").exists()
