@@ -47,8 +47,10 @@ def load_config(args) -> ExperimentConfig:
         cfg = cfg.with_overrides(**overrides)
     if args.shots is not None:
         scen = cfg.scenario
-        key = BUDGET_KEYS.get(scen, "shots")
-        cfg = cfg.with_overrides(scenarios={scen: {key: args.shots}})
+        if scen not in BUDGET_KEYS:
+            raise ConfigError([f"--shots: {scen} has no shot budget; the flag applies "
+                               f"to {', '.join(BUDGET_KEYS)}"])
+        cfg = cfg.with_overrides(scenarios={scen: {BUDGET_KEYS[scen]: args.shots}})
     return cfg
 
 

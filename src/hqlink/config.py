@@ -145,6 +145,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError([f"config: expected a JSON object, got {data!r}"])
         cfg = copy.deepcopy(default_config_dict())
         errors: list[str] = []
         _deep_update(cfg, data, errors)
@@ -253,14 +255,28 @@ def _validate_sections(errors: list, cfg: dict):
             ("pipeline", ("qfc_process_fidelity", "excitation_error", "spam_error",
                           "mw_rotation_error", "pi_collection_error"), 0, 1),
             ("pipeline", ("decoherence_exponent_a",), 1, 3),
-            ("storage", ("eta_internal_h", "eta_internal_v", "eta_device_h",
-                         "eta_device_v"), 0, 1),
+            ("storage", ("eta_internal_h", "eta_internal_v"), 0, 1),
             ("storage", ("residual_infidelity",), 0, 0.5)):
         for key in keys:
             v = cfg[section][key]
             if not _finite_number(v) or not lo <= v <= hi:
                 errors.append(f"{section}.{key}: expected a number in [{lo}, {hi}], "
                               f"got {v!r}")
+    storage = cfg["storage"]
+    for key in ("eta_device_h", "eta_device_v"):  # rate-chain stages, as EfficiencyStage
+        v = storage[key]
+        if not _finite_number(v) or not 0 < v <= 1:
+            errors.append(f"storage.{key}: expected a number in (0, 1], got {v!r}")
+    if storage["eta_internal_h"] == storage["eta_internal_v"] == 0:
+        errors.append("storage.eta_internal_h, storage.eta_internal_v: both 0, so the "
+                      "memory stores nothing")
+    windows, target = cfg["pump"]["windows"], cfg["pump"]["target"]
+    if not isinstance(windows, (list, tuple)) or not all(map(_interval, windows)):
+        errors.append(f"pump.windows: expected a list of [lo, hi] number pairs with "
+                      f"lo < hi, got {windows!r}")
+    if not _interval(target):
+        errors.append(f"pump.target: expected a [lo, hi] number pair with lo < hi, "
+                      f"got {target!r}")
     pipeline = cfg["pipeline"]
     v = pipeline["bootstrap_resamples"]
     if not _integer(v) or v < 100:
@@ -296,6 +312,11 @@ def _finite_number(v) -> bool:
 
 def _integer(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _interval(v) -> bool:
+    return (isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_finite_number, v))
+            and v[0] < v[1])
 
 
 def _validate_sweep(errors: list, scen: str, sec: dict):

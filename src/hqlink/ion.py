@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .qstate import PureState, QuantumChannel, dephasing_channel
 from .rng import as_rng
@@ -168,6 +168,8 @@ def spam_fidelities(params: SpamParams, shots: int, rng_seed) -> tuple[float, fl
 
 def calibrate_spam_background(dark_fidelity: float, threshold: float = 1.5) -> float:
     """Poisson background mean reproducing the dark-state fidelity."""
+    from scipy import optimize  # no scenario calls the calibration or fits
+
     kmax = int(math.floor(threshold))
 
     def err(mu):
@@ -180,6 +182,8 @@ def calibrate_spam_leak(bright_fidelity: float, mean_bright: float = 12.0,
                         background_mean: float = SPAM_BACKGROUND_MEAN_DEFAULT,
                         threshold: float = 1.5) -> float:
     """Per-scatter leak probability reproducing the bright-state fidelity."""
+    from scipy import optimize
+
     kmax = int(math.floor(threshold))
 
     def bright_error(lam):
@@ -232,6 +236,8 @@ def ramsey_curve(t, C: float, D: float, omega_r: float, phi_r0: float, tau_co: f
 
 def fit_ramsey(t, p_bright, p0=None) -> dict:
     """Least-squares fit of ramsey_curve; returns parameter dict with errors."""
+    from scipy import optimize
+
     t = np.asarray(t, dtype=float)
     y = np.asarray(p_bright, dtype=float)
     if p0 is None:

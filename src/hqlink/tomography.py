@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .photon import dark_noise_admixture
 from .qstate import (
@@ -58,15 +57,25 @@ def all_settings() -> list[MeasurementSetting]:
     return [MeasurementSetting(a, b) for a in AXES for b in AXES]
 
 
-def setting_projectors(setting: MeasurementSetting) -> np.ndarray:
-    """The four joint eigenprojectors of the setting, ordered ++, +-, -+, --."""
+def _build_projectors(setting: MeasurementSetting) -> np.ndarray:
     out = []
     for si in (+1, -1):
         pi = (np.eye(2) + si * _AXIS_OP[setting.ion_axis]) / 2
         for sp in (+1, -1):
             pp = (np.eye(2) + sp * _AXIS_OP[setting.photon_axis]) / 2
             out.append(np.kron(pi, pp))
-    return np.array(out)
+    projs = np.array(out)
+    projs.flags.writeable = False
+    return projs
+
+
+_PROJECTORS = {s: _build_projectors(s) for s in all_settings()}
+
+
+def setting_projectors(setting: MeasurementSetting) -> np.ndarray:
+    """The four joint eigenprojectors of the setting, ordered ++, +-, -+, --
+    (a shared read-only array)."""
+    return _PROJECTORS[setting]
 
 
 @dataclass(frozen=True)
@@ -97,12 +106,15 @@ class CountRecord:
         return np.array(self.counts) / self.shots
 
 
+def _with_dark_noise(rho: DensityMatrix, snr: float | None) -> DensityMatrix:
+    return rho if snr is None or math.isinf(snr) else dark_noise_admixture(rho, snr)
+
+
 def born_probabilities(rho: DensityMatrix, setting: MeasurementSetting,
                        snr: float | None = None) -> np.ndarray:
     """Outcome probabilities, optionally after the dark-noise admixture."""
-    state = rho if snr is None or math.isinf(snr) else dark_noise_admixture(rho, snr)
-    projs = setting_projectors(setting)
-    p = np.real(np.einsum("nij,ji->n", projs, state.matrix))
+    state = _with_dark_noise(rho, snr)
+    p = np.real(np.einsum("nij,ji->n", setting_projectors(setting), state.matrix))
     p = np.clip(p, 0.0, None)
     return p / p.sum()
 
@@ -123,16 +135,19 @@ def simulate_tomography(rho: DensityMatrix, shots_per_setting, snr: float | None
     """Counts for the full 9-setting grid.
 
     ``shots_per_setting`` is an int applied to every setting or a mapping from
-    (ion_axis, photon_axis) to shots.
+    (ion_axis, photon_axis) to shots.  The dark-noise admixture is applied
+    once, and the draws match per-setting simulate_counts calls on the same
+    generator.
     """
     rng = as_rng(rng_seed)
+    state = _with_dark_noise(rho, snr)
     records = []
     for setting in all_settings():
         if isinstance(shots_per_setting, dict):
             shots = shots_per_setting[(setting.ion_axis, setting.photon_axis)]
         else:
             shots = int(shots_per_setting)
-        records.append(simulate_counts(rho, setting, shots, snr, rng))
+        records.append(simulate_counts(state, setting, shots, None, rng))
     return records
 
 
@@ -159,7 +174,7 @@ _STRICT = np.ravel_multi_index(np.tril_indices(4, -1), (4, 4))
 # Eigenvalue floor of the linear-inversion start, which keeps T at full rank.
 _START_FLOOR = 1e-4
 # Largest accepted final gradient norm of the log-likelihood per count, taken
-# at tr(T T^dag) = 1.  Converged fits on sampled counts end below 3e-8.
+# at tr(T T^dag) = 1.  Converged fits end at or below _STEP_TOL = 1e-9.
 GRADIENT_TOL = 1e-5
 
 
@@ -192,27 +207,64 @@ def _unpack_lower(x: np.ndarray) -> np.ndarray:
     return t.reshape(4, 4)
 
 
-def _neg_log_likelihood(x: np.ndarray, weights: np.ndarray):
-    """-sum_n w_n log p_n at rho = T T^dag / tr(T T^dag), and its gradient.
+def _quadratic_forms() -> np.ndarray:
+    """M (36, 16, 16), real symmetric, with x^T M_n x = tr(Pi_n T T^dag)."""
+    basis = np.array([_unpack_lower(e) for e in np.eye(16)])
+    products = np.einsum("aij,bkj->abik", basis, basis.conj()).reshape(16, 16, 16)
+    return np.ascontiguousarray(np.einsum("nk,abk->nab", _DESIGN, products).real)
 
-    With R = sum_n (w_n / p_n) Pi_n and sum_n w_n = 1, dF/dT* is
-    (I - R) T / tr(T T^dag); each real parameter takes twice its part.
-    """
-    t = _unpack_lower(x)
-    norm = x @ x
-    probs = np.maximum((_DESIGN @ (t @ t.conj().T).ravel()).real / norm, 1e-15)
-    r_op = ((weights / probs) @ _DESIGN).reshape(4, 4).T
-    return -(weights @ np.log(probs)), _pack_lower((2 / norm) * (t - r_op @ t))
+
+_FORMS = _quadratic_forms()
+_FORMS_FLAT = _FORMS.reshape(36, 256)
+# Newton steps before the fit gives up; sampled counts converge in ~7.
+MAX_STEPS = 200
+# Stop once the gradient norm per count falls to this.
+_STEP_TOL = 1e-9
+# Relative rounding error of the objective, a sum of 36 terms.
+_ROUNDING = 1e-14
+
+
+def _evaluate(x: np.ndarray, weights: np.ndarray):
+    """At x rescaled to unit norm: x, M x (36, 16), the outcome probabilities
+    x^T M_n x, the objective -sum_n w_n log p_n and its gradient."""
+    x = x / np.linalg.norm(x)
+    mx = _FORMS @ x
+    probs = np.maximum(mx @ x, 1e-300)
+    return (x, mx, probs, float(-(weights @ np.log(probs))),
+            2 * x - 2 * (weights / probs) @ mx)
+
+
+def _backtrack(x: np.ndarray, step: np.ndarray, slope: float, value: float,
+               weights: np.ndarray):
+    """Armijo backtracking: _evaluate at the first of x + step, x + step / 2,
+    ... whose objective lies below ``value`` by 1e-4 of the decrease the
+    slope predicts, or None.  Near the optimum a Newton step changes the
+    objective by less than its rounding error, so a step that raises it by
+    no more than _ROUNDING of its value is taken."""
+    alpha = 1.0
+    while alpha >= 1e-10:
+        trial = _evaluate(x + alpha * step, weights)
+        if trial[3] <= value + 1e-4 * alpha * slope + _ROUNDING * value:
+            return trial
+        alpha /= 2
+    return None
 
 
 def mle_reconstruct(records: list[CountRecord]) -> DensityMatrix:
     """Maximum-likelihood two-qubit state from the 9-setting counts.
 
-    Maximizes the multinomial log-likelihood with BFGS over
-    rho = T T^dag / tr(T T^dag), T lower-triangular (James et al., PRA 64,
-    052312, 2001).  The start is the linear-inversion estimate with its
-    eigenvalues clipped to a small floor.  Raises NonConvergenceError when
-    the result is not finite or its final gradient norm per count exceeds
+    Maximizes the multinomial log-likelihood over
+    rho = T T^dag / tr(T T^dag), T lower-triangular and packed as 16 reals x
+    (James et al., PRA 64, 052312, 2001).  Each outcome probability is a
+    quadratic form x^T M_n x / x^T x, so with weights w_n = counts / total
+    the objective f = -sum_n w_n log(x^T M_n x) + log(x^T x) has a
+    closed-form gradient and Hessian.  From the linear-inversion start, with
+    its eigenvalues clipped to a small floor, each step is a saddle-free
+    Newton step with Levenberg-Marquardt damping,
+    d = -V diag(1 / (|lambda| + 0.1 |g|)) V^T g over the eigenpairs of the
+    Hessian, shortened by Armijo backtracking; x is then rescaled to unit
+    norm, which leaves f unchanged.  Raises NonConvergenceError when the
+    result is not finite or its final gradient norm per count exceeds
     ``GRADIENT_TOL``.
     """
     counts, shots = _grid_counts(records)
@@ -220,14 +272,25 @@ def mle_reconstruct(records: list[CountRecord]) -> DensityMatrix:
     rho = (_DESIGN_PINV @ (counts / shots[:, None]).ravel()).reshape(4, 4)
     w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
     w = np.maximum(w, _START_FLOOR)
-    start = np.linalg.cholesky((v * (w / w.sum())) @ v.conj().T)
-    # BFGS, not L-BFGS-B: with 16 parameters its dense update is cheap and
-    # runs in numpy, while L-BFGS-B's small LAPACK solves wake the BLAS
-    # thread pool on every iteration, which busy-waits on a second core
-    res = optimize.minimize(_neg_log_likelihood, _pack_lower(start), args=(weights,),
-                            jac=True, method="BFGS", options={"gtol": 1e-9})
-    x = res.x / np.linalg.norm(res.x)
-    grad_norm = float(np.linalg.norm(_neg_log_likelihood(x, weights)[1]))
+    x = _pack_lower(np.linalg.cholesky((v * (w / w.sum())) @ v.conj().T))
+    x, mx, probs, value, grad = _evaluate(x, weights)
+    for _ in range(MAX_STEPS):
+        grad_norm = np.linalg.norm(grad)
+        if not grad_norm > _STEP_TOL:
+            break
+        # Hessian of f at |x| = 1: with r_n = w_n / p_n,
+        # 4 sum_n (r_n / p_n) (M_n x)(M_n x)^T - 4 x x^T - 2 sum_n r_n M_n + 2 I
+        ratio = weights / probs
+        hess = (4 * (mx.T * (ratio / probs)) @ mx - 4 * x[:, None] * x
+                - 2 * (ratio @ _FORMS_FLAT).reshape(16, 16))
+        hess.flat[::17] += 2
+        lam, vec = np.linalg.eigh(hess)
+        step = -vec @ ((vec.T @ grad) / (np.abs(lam) + 0.1 * grad_norm))
+        trial = _backtrack(x, step, grad @ step, value, weights)
+        if trial is None:
+            break
+        x, mx, probs, value, grad = trial
+    grad_norm = float(np.linalg.norm(grad))
     if not grad_norm <= GRADIENT_TOL:  # also catches a non-finite result
         raise NonConvergenceError(
             f"MLE stopped at gradient norm {grad_norm:.3e} per count "
@@ -332,11 +395,11 @@ def simulate_chsh(rho: DensityMatrix, s: ChshSettings, shots_total: int,
     """Sampled CHSH value and its standard error, shots split over 4 settings."""
     rng = as_rng(rng_seed)
     shots_each = split_heralds(shots_total, 4)
+    state = _with_dark_noise(rho, snr)
     total, var = 0.0, 0.0
     for (a, b, sign), shots in zip(s.pairs(), shots_each):
         if shots <= 0:
             raise ValueError("need at least one shot per CHSH setting")
-        state = rho if snr is None or math.isinf(snr) else dark_noise_admixture(rho, snr)
         probs, values = _joint_outcome_table(state, a, b)
         counts = rng.multinomial(shots, probs)
         e = float(counts @ values) / shots

@@ -1,9 +1,14 @@
 """Config validation, scenario runner and CLI behavior."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hqlink
 import hqlink.cli as cli
 from hqlink.config import ConfigError, ExperimentConfig
 from hqlink.scenarios import analytic_fidelity, emit_report, run
@@ -180,6 +185,10 @@ class TestCli:
         (["--scenario", "ion_photon", "--shots", "5"], "scenarios.ion_photon.shots"),
         (["--scenario", "chsh", "--shots", "2"], "scenarios.chsh.trials"),
         (["--scenario", "chsh", "--seed", "-1"], "master_seed"),
+        (["--scenario", "budget", "--shots", "90"], "--shots: budget has no shot budget; "
+         "the flag applies to ion_photon, post_qfc, ti_qm, chsh"),
+        (["--scenario", "afc_sweep", "--shots", "90"], "--shots: afc_sweep has no"),
+        (["--scenario", "bandwidth_sweep", "--shots", "90"], "--shots: bandwidth_sweep has no"),
     ])
     def test_unusable_budget_or_seed_exit_two(self, argv, field, tmp_path, capsys):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
@@ -196,6 +205,7 @@ class TestCli:
         ({"spam": {"threshold": 1.5}}, "spam: unknown field"),
         ({"spectral": {"zeeman_split_mhz": 11.22}}, "spectral.zeeman_split_mhz: unknown field"),
         ({"rates": 5}, "rates: expected an object"),
+        ([1, 2], "config: expected a JSON object"),
     ])
     def test_unknown_field_exit_two(self, config, error, tmp_path, capsys):
         _assert_exit_two(tmp_path, capsys, "budget", config, error)
@@ -217,6 +227,13 @@ class TestCli:
         ("ti_qm", {"storage": {"residual_infidelity": 0.9}}, "storage.residual_infidelity"),
         ("chsh", {"pipeline": {"apply_storage_residual": "no"}},
          "pipeline.apply_storage_residual"),
+        ("budget", {"storage": {"eta_device_h": 0}}, "storage.eta_device_h"),
+        ("budget", {"storage": {"eta_device_v": 0.0}}, "storage.eta_device_v"),
+        ("ti_qm", {"storage": {"eta_internal_h": 0, "eta_internal_v": 0}},
+         "storage.eta_internal_h, storage.eta_internal_v"),
+        ("budget", {"pump": {"windows": "x"}}, "pump.windows"),
+        ("budget", {"pump": {"windows": [[497.2, 274.0]]}}, "pump.windows"),
+        ("budget", {"pump": {"target": [224.5]}}, "pump.target"),
     ])
     def test_bad_value_exit_two(self, scenario, config, field, tmp_path, capsys):
         _assert_exit_two(tmp_path, capsys, scenario, config, field)
@@ -264,3 +281,14 @@ def _assert_exit_two(tmp_path, capsys, scenario, config, field):
     assert "invalid configuration" in err
     assert field in err
     assert not (tmp_path / "out").exists()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only the unused ion fits need scipy.optimize, and they import it themselves
+    src = str(Path(hqlink.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, hqlink, hqlink.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
