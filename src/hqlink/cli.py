@@ -1,6 +1,7 @@
 """Command-line scenario runner.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical non-convergence.
+Exit codes: 0 success, 2 configuration error (at load, or a value the run
+cannot use), 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -31,20 +32,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parse_args leaves the parser as it was.
+_PARSER = build_parser()
+
+
 def load_config(args) -> ExperimentConfig:
-    if args.config:
-        cfg = ExperimentConfig.from_file(args.config)
-    else:
-        cfg = ExperimentConfig.defaults(args.scenario or "ti_qm")
     overrides: dict = {}
-    if args.scenario:
-        overrides["scenario"] = args.scenario
     if args.seed is not None:
         overrides["master_seed"] = args.seed
     if args.out:
         overrides["output_dir"] = args.out
-    if overrides:
-        cfg = cfg.with_overrides(**overrides)
+    if args.config:
+        cfg = ExperimentConfig.from_file(args.config)
+        if args.scenario:
+            overrides["scenario"] = args.scenario
+        if overrides:
+            cfg = cfg.with_overrides(**overrides)
+    else:  # one build: the flags go straight into the defaults
+        cfg = ExperimentConfig.defaults(args.scenario or "ti_qm", **overrides)
     if args.shots is not None:
         scen = cfg.scenario
         if scen not in BUDGET_KEYS:
@@ -55,7 +60,7 @@ def load_config(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args)
     except ConfigError as exc:
@@ -66,6 +71,9 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # StateError, LinAlgError: a value the run cannot use
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         files = emit_report(report, cfg.output_dir, args.format)
     except OSError as exc:

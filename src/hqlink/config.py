@@ -147,7 +147,7 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError([f"config: expected a JSON object, got {data!r}"])
-        cfg = copy.deepcopy(default_config_dict())
+        cfg = default_config_dict()  # a fresh literal on every call
         errors: list[str] = []
         _deep_update(cfg, data, errors)
 

@@ -37,6 +37,22 @@ PAULIS = (I2, X, Y, Z)
 PAULI_LABELS = ("I", "X", "Y", "Z")
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two square matrices: the same elementwise products
+    as np.kron (signed zeros included), without its general-shape bookkeeping."""
+    n, m = a.shape[0], b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# The 16 two-qubit Paulis P_a (x) P_b, a the outer index, built once.
+PAULIS_2Q = tuple(_read_only(kron(a, b)) for a in PAULIS for b in PAULIS)
+
+
 class StateError(ValueError):
     """Raised when a state or channel violates its construction invariants."""
 
@@ -224,7 +240,8 @@ def apply_channel(rho: DensityMatrix, ch: QuantumChannel) -> DensityMatrix:
     """sum_i K_i rho K_i^dag; heralded channels return a subnormalized state."""
     if rho.dim != ch.dim:
         raise StateError(f"dimension mismatch: state {rho.dim}, channel {ch.dim}")
-    out = sum(k @ rho.matrix @ k.conj().T for k in ch.kraus_ops)
+    k = np.array(ch.kraus_ops)
+    out = (k @ rho.matrix @ k.conj().transpose(0, 2, 1)).sum(axis=0)
     sub = rho.subnormalized or not ch.trace_preserving
     return DensityMatrix(out, subnormalized=sub)
 
@@ -284,9 +301,9 @@ def werner(p: float) -> DensityMatrix:
 def embed_single_qubit(op: np.ndarray, subsystem: int) -> np.ndarray:
     """Lift a 2x2 operator onto one factor of the ion (x) photon space."""
     if subsystem == 0:
-        return np.kron(op, I2)
+        return kron(op, I2)
     if subsystem == 1:
-        return np.kron(I2, op)
+        return kron(I2, op)
     raise StateError(f"invalid subsystem index {subsystem}")
 
 
@@ -299,9 +316,9 @@ def depolarizing_channel(p: float, dim: int) -> QuantumChannel:
     if not 0.0 <= p <= 1.0:
         raise StateError(f"depolarizing probability {p} outside [0, 1]")
     if dim == 2:
-        paulis = [P for P in PAULIS]
+        paulis = PAULIS
     elif dim == 4:
-        paulis = [np.kron(a, b) for a in PAULIS for b in PAULIS]
+        paulis = PAULIS_2Q
     else:
         raise StateError("depolarizing channel supports dim 2 or 4 only")
     n = len(paulis)  # d^2 Paulis; uniform Pauli noise at rate p*(n-1)/n mixes to I/d

@@ -164,7 +164,8 @@ def _run_tomography(cfg: ExperimentConfig) -> RunReport:
     state, herald_prob, breakdown = analytic_pipeline_state(cfg, cfg.scenario)
     report.breakdown = breakdown
     snr = scen["snr"]
-    report.add("analytic_fidelity", analytic_fidelity(cfg, cfg.scenario))
+    target = bell_state(0.0)
+    report.add("analytic_fidelity", fidelity(dark_noise_admixture(state, snr), target))
     report.add("herald_probability", herald_prob)
 
     total = int(scen[BUDGET_KEYS[cfg.scenario]])
@@ -175,7 +176,7 @@ def _run_tomography(cfg: ExperimentConfig) -> RunReport:
         state, shots_map, snr, child_rng(cfg.master_seed, "tomography"))
     rho = mle_reconstruct(records)
     report.matrix = rho.matrix
-    f_mle = fidelity(rho, bell_state(0.0))
+    f_mle = fidelity(rho, target)
     n_boot = cfg.section("pipeline")["bootstrap_resamples"]
     _, f_std = bootstrap_uncertainty(records, n_boot, "fidelity",
                                      child_rng(cfg.master_seed, "bootstrap"))
@@ -275,13 +276,13 @@ def emit_report(report: RunReport, out_dir: str | Path, fmt: str = "json") -> li
     written: list[Path] = []
 
     summary = out / f"{stem}_summary.json"
-    summary.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    doc = report.to_json_dict()
+    summary.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     written.append(summary)
 
-    if report.matrix is not None:
+    if doc["matrix"] is not None:
         path = out / f"{stem}_matrix.json"
-        path.write_text(json.dumps(matrix_to_json_dict(report.matrix), indent=2,
-                                   sort_keys=True) + "\n")
+        path.write_text(json.dumps(doc["matrix"], indent=2, sort_keys=True) + "\n")
         written.append(path)
     if report.budget_rows:
         path = out / f"{stem}_error_budget.csv"

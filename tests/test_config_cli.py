@@ -1,5 +1,6 @@
 """Config validation, scenario runner and CLI behavior."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 
 import hqlink
 import hqlink.cli as cli
-from hqlink.config import ConfigError, ExperimentConfig
+from hqlink.config import BUDGET_KEYS, ConfigError, ExperimentConfig, default_config_dict
+from hqlink.qstate import StateError
 from hqlink.scenarios import analytic_fidelity, emit_report, run
 from hqlink.tomography import NonConvergenceError
 
@@ -55,6 +57,22 @@ class TestConfig:
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file("/does/not/exist.json")
+
+    def test_defaults_share_no_nested_dict_or_list(self):
+        def containers(obj, found):
+            if isinstance(obj, (dict, list)):
+                found.add(id(obj))
+                for v in obj.values() if isinstance(obj, dict) else obj:
+                    containers(v, found)
+            return found
+
+        a, b = ExperimentConfig.defaults("budget"), ExperimentConfig.defaults("budget")
+        assert not containers(a.raw, set()) & containers(b.raw, set())
+        a.raw["pump"]["windows"][0][0] = -1.0
+        a.raw["pump"]["windows"].append([1.0, 2.0])
+        fresh = ExperimentConfig.defaults("budget")
+        assert fresh.raw["pump"]["windows"] == default_config_dict()["pump"]["windows"]
+        assert fresh.raw == b.raw
 
     def test_invalid_json_is_config_error(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -265,6 +283,78 @@ class TestCli:
         monkeypatch.setattr(cli, "run", explode)
         assert cli.main(["--scenario", "budget"]) == 3
         assert "stuck" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc, code", [
+        (ValueError("no such state"), 2),
+        (StateError("trace 1.5 deviates from 1"), 2),
+        (NonConvergenceError("stuck", 0.5), 3),
+    ])
+    def test_run_errors_exit_without_traceback(self, exc, code, monkeypatch, capsys):
+        def explode(cfg):
+            raise exc
+        monkeypatch.setattr(cli, "run", explode)
+        assert cli.main(["--scenario", "budget"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(exc) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("config, message", [
+        # load-time checks accept these; the pipeline cannot build them
+        ({"pipeline": {"spam_error": 0.9}}, "depolarizing probability"),
+        ({"storage": {"eta_internal_h": 0.0, "eta_internal_v": 5e-324}},
+         "zero-trace state"),
+    ])
+    def test_pipeline_value_error_exit_two(self, config, message, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli.main(["--config", str(cfg_path), "--scenario", "budget",
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario, seed, out, shots", itertools.product(
+        (None, "ti_qm", "chsh", "budget"), (None, 0, 11), (None, "elsewhere"), (None, 120)))
+    def test_load_config_builds_what_defaults_and_overrides_build(self, scenario, seed,
+                                                                  out, shots):
+        argv = [flag for name, value in (("--scenario", scenario), ("--seed", seed),
+                                         ("--out", out), ("--shots", shots))
+                if value is not None for flag in (name, str(value))]
+        overrides = {k: v for k, v in (("scenario", scenario), ("master_seed", seed),
+                                       ("output_dir", out)) if v is not None}
+        expected = ExperimentConfig.defaults(scenario or "ti_qm")
+        if overrides:
+            expected = expected.with_overrides(**overrides)
+        args = cli.build_parser().parse_args(argv)
+        if shots is not None and scenario == "budget":
+            with pytest.raises(ConfigError, match="--shots: budget has no shot budget"):
+                cli.load_config(args)
+            return
+        if shots is not None:
+            key = BUDGET_KEYS[expected.scenario]
+            expected = expected.with_overrides(scenarios={expected.scenario: {key: shots}})
+        cfg = cli.load_config(args)
+        assert cfg.raw == expected.raw
+        assert cfg == expected
+
+    def test_repeated_calls_keep_their_own_flags(self, tmp_path):
+        a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+        assert cli.main(["--scenario", "budget", "--seed", "3", "--out", str(a)]) == 0
+        assert cli.main(["--scenario", "afc_sweep", "--seed", "4", "--format", "csv",
+                         "--out", str(b)]) == 0
+        assert cli.main(["--scenario", "budget", "--out", str(c)]) == 0
+        assert {f.name for f in a.iterdir()} == {
+            "budget_seed3_summary.json", "budget_seed3_error_budget.csv",
+            "budget_seed3_stages.csv", "budget_seed3_rates.csv"}
+        assert {f.name for f in b.iterdir()} == {
+            "afc_sweep_seed4_summary.json", "afc_sweep_seed4_sweep.csv",
+            "afc_sweep_seed4_summary.csv"}
+        assert {f.name for f in c.iterdir()} == {
+            f.name.replace("seed3", "seed20260810") for f in a.iterdir()}
+        for f in a.iterdir():
+            other = c / f.name.replace("seed3", "seed20260810")
+            assert other.read_bytes() == f.read_bytes().replace(b'"seed": 3',
+                                                                b'"seed": 20260810')
 
     def test_unwritable_output_exit_two(self, capsys):
         code = cli.main(["--scenario", "budget", "--out", "/proc/definitely/not/writable"])

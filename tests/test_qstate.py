@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from hqlink.qstate import (
+    PAULIS,
+    PAULIS_2Q,
     DensityMatrix,
     Observable,
     PureState,
@@ -19,6 +21,7 @@ from hqlink.qstate import (
     expectation,
     fidelity,
     identity_channel,
+    kron,
     matrix_from_json_dict,
     matrix_to_json_dict,
     maximally_mixed,
@@ -66,6 +69,44 @@ class TestTensorProduct:
     def test_mixed_kinds_rejected(self):
         with pytest.raises(StateError):
             tensor_product(ket(1, 0), maximally_mixed(2))
+
+
+def signed_zero_matrix(rng, dim):
+    """Random complex matrix with about a third of its real and imaginary
+    parts replaced by 0.0 or -0.0."""
+    parts = rng.normal(size=(2, dim, dim))
+    zeros = rng.uniform(size=parts.shape) < 1 / 3
+    parts[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+    return parts[0] + 1j * parts[1]
+
+
+class TestKron:
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 4), (4, 2), (4, 4)])
+    def test_bitwise_equal_to_numpy_kron(self, n, m):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            a, b = signed_zero_matrix(rng, n), signed_zero_matrix(rng, m)
+            ours, ref = kron(a, b), np.kron(a, b)
+            assert ours.shape == ref.shape == (n * m, n * m)
+            assert ours.tobytes() == ref.tobytes()
+            for part in ("real", "imag"):
+                assert np.array_equal(np.signbit(getattr(ours, part)),
+                                      np.signbit(getattr(ref, part)))
+
+    def test_signed_zeros_are_drawn(self):
+        rng = np.random.default_rng(29)
+        a = kron(signed_zero_matrix(rng, 4), signed_zero_matrix(rng, 4))
+        zeros = a.real == 0.0
+        assert np.signbit(a.real[zeros]).any() and not np.signbit(a.real[zeros]).all()
+
+    def test_two_qubit_paulis_are_built_once_read_only(self):
+        reference = [np.kron(a, b) for a in PAULIS for b in PAULIS]
+        assert len(PAULIS_2Q) == 16
+        for ours, ref in zip(PAULIS_2Q, reference):
+            assert ours.tobytes() == ref.tobytes()
+            assert not ours.flags.writeable
+            with pytest.raises(ValueError):
+                ours[0, 0] = 2.0
 
 
 class TestFidelity:
