@@ -5,6 +5,9 @@ The ion emits a photon whose polarization is entangled with two Zeeman
 sublevels split by omega = 2 pi x 11.22 MHz; the relative phase of the pair
 advances at omega until the readout pulse, and the experiment cancels it with
 a microwave phase offset.
+
+Only the SPAM calibrations and the Ramsey fit, which no scenario calls, import
+scipy; importing this module, and so ``import hqlink``, loads numpy only.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .qstate import PureState, QuantumChannel, dephasing_channel
 from .rng import as_rng
@@ -168,7 +170,7 @@ def spam_fidelities(params: SpamParams, shots: int, rng_seed) -> tuple[float, fl
 
 def calibrate_spam_background(dark_fidelity: float, threshold: float = 1.5) -> float:
     """Poisson background mean reproducing the dark-state fidelity."""
-    from scipy import optimize  # no scenario calls the calibration or fits
+    from scipy import optimize, special  # no scenario calls the calibration or fits
 
     kmax = int(math.floor(threshold))
 
@@ -182,7 +184,7 @@ def calibrate_spam_leak(bright_fidelity: float, mean_bright: float = 12.0,
                         background_mean: float = SPAM_BACKGROUND_MEAN_DEFAULT,
                         threshold: float = 1.5) -> float:
     """Per-scatter leak probability reproducing the bright-state fidelity."""
-    from scipy import optimize
+    from scipy import optimize, special
 
     kmax = int(math.floor(threshold))
 
@@ -249,3 +251,11 @@ def fit_ramsey(t, p_bright, p0=None) -> dict:
     out = {n: float(v) for n, v in zip(names, popt)}
     out.update({n + "_err": float(e) for n, e in zip(names, perr)})
     return out
+
+
+def __getattr__(name: str):
+    # ``hqlink.ion.special`` stays reachable; scipy loads on first access
+    if name == "special":
+        from scipy import special
+        return special
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -382,3 +382,54 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+# float.hex of the background mean, the leak probability and spam_error at
+# SpamParams.calibrated()'s defaults, computed while ion.py imported
+# scipy.special at module level: importing it lazily must not move them.
+SPAM_BACKGROUND_PIN = "0x1.08adc87614f87p-4"
+SPAM_LEAK_PIN = "0x1.b71b9de4fc2efp-8"
+SPAM_ERROR_PIN = "0x1.eb851eb851ec0p-8"
+
+
+def _fresh_python(code: str, *args: str) -> str:
+    """Standard output of ``code`` run in a new interpreter that imports this hqlink."""
+    src = str(Path(hqlink.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_scenarios_run_without_scipy(tmp_path):
+    code = """\
+import sys, hqlink, hqlink.cli
+for scenario in ("budget", "chsh", "afc_sweep", "bandwidth_sweep", "ti_qm"):
+    assert hqlink.cli.main(["--scenario", scenario, "--out", sys.argv[1]]) == 0, scenario
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    out = _fresh_python(code, str(tmp_path))
+    assert out.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "ti_qm_seed20260810_summary.json").exists()
+
+
+def test_spam_calibration_loads_scipy_itself():
+    code = """\
+import sys
+from hqlink.ion import SpamParams, calibrate_spam_background, calibrate_spam_leak
+assert "scipy" not in sys.modules
+bg = calibrate_spam_background(0.998, 1.5)
+print(bg.hex(), calibrate_spam_leak(0.987, 12.0, bg, 1.5).hex(),
+      SpamParams.calibrated().spam_error.hex())
+"""
+    assert _fresh_python(code).split() == [SPAM_BACKGROUND_PIN, SPAM_LEAK_PIN,
+                                           SPAM_ERROR_PIN]
+
+
+def test_ion_special_resolves_to_scipy_special():
+    import scipy.special
+
+    import hqlink.ion as ion
+    assert ion.special is scipy.special
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ion.no_such_name  # noqa: B018

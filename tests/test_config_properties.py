@@ -1,0 +1,130 @@
+"""Config round trip and rejection over drawn inputs: a loaded config
+survives JSON, a file and an empty override unchanged, and an unknown key or
+a non-number in a checked numeric field fails at load naming its path."""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import hqlink.cli as cli
+from hqlink.config import (
+    BUDGET_KEYS,
+    LABEL_MAPS,
+    SCENARIOS,
+    SWEEP_RANGES,
+    ConfigError,
+    ExperimentConfig,
+    default_config_dict,
+)
+
+unit = st.floats(0.0, 1.0)
+# the ranges _validate_sections accepts
+PIPELINE_VALUES = {
+    "qfc_process_fidelity": unit,
+    "decoherence_exponent_a": st.floats(1.0, 3.0),
+    "excitation_error": unit,
+    "spam_error": unit,
+    "mw_rotation_error": unit,
+    "pi_collection_error": unit,
+    "apply_storage_residual": st.booleans(),
+    "bootstrap_resamples": st.integers(100, 10 ** 6),
+}
+positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+RATES_VALUES = {key: positive for key in default_config_dict()["rates"]}
+
+configs = st.fixed_dictionaries(
+    {"scenario": st.sampled_from(SCENARIOS), "master_seed": st.integers(0, 2 ** 63)},
+    optional={"pipeline": st.fixed_dictionaries({}, optional=PIPELINE_VALUES),
+              "rates": st.fixed_dictionaries({}, optional=RATES_VALUES)})
+
+
+def _sections(tree: dict, path: str = ""):
+    """Dotted paths of every object in the defaults whose keys are config fields."""
+    yield path
+    for key, value in tree.items():
+        sub = path + key
+        if isinstance(value, dict) and sub not in LABEL_MAPS:
+            yield from _sections(value, sub + ".")
+
+
+SECTIONS = list(_sections(default_config_dict()))
+
+
+def _numeric_fields() -> list[str]:
+    """Dotted paths of the fields _validate_sections checks to be numbers."""
+    d = default_config_dict()
+    fields = [f"rates.{key}" for key in d["rates"]]
+    fields += [f"pipeline.{key}" for key in PIPELINE_VALUES if key != "apply_storage_residual"]
+    fields += [f"storage.{key}" for key in d["storage"]]
+    for scen, key in BUDGET_KEYS.items():
+        fields += [f"scenarios.{scen}.{k}" for k in (key, "snr", "decoherence_time_us")]
+    for scen, keys in SWEEP_RANGES.items():
+        fields += [f"scenarios.{scen}.{k}" for k in ("points", *keys)]
+    return fields
+
+
+NUMERIC_FIELDS = _numeric_fields()
+non_numbers = (st.text(max_size=8) | st.none() | st.booleans()
+               | st.lists(st.integers(), max_size=3))
+
+
+def _nest(path: str, value) -> dict:
+    """{"a": {"b": value}} from "a.b"."""
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+def _assert_rejected(config: dict, path: str, tmp: Path):
+    """Loading fails naming ``path``; the CLI exits 2 with it and writes nothing."""
+    try:
+        ExperimentConfig.from_dict(config)
+    except ConfigError as exc:
+        assert any(e.startswith(path + ":") for e in exc.errors), exc.errors
+    else:
+        raise AssertionError(f"{config!r} loaded")
+    cfg_path = tmp / "bad.json"
+    cfg_path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(["--config", str(cfg_path), "--out", str(tmp / "out")]) == 2
+    assert "invalid configuration" in err.getvalue()
+    assert path + ":" in err.getvalue()
+    assert not (tmp / "out").exists()
+
+
+class TestRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(data=configs)
+    def test_raw_survives_json_file_and_empty_override(self, data, tmp_path_factory):
+        cfg = ExperimentConfig.from_dict(data)
+        again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.raw)))
+        assert again.raw == cfg.raw
+        assert again == cfg
+        path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        path.write_text(json.dumps(cfg.raw))
+        assert ExperimentConfig.from_file(path).raw == cfg.raw
+        assert cfg.with_overrides().raw == cfg.raw
+
+
+class TestRejection:
+    @settings(max_examples=60, deadline=None)
+    @given(section=st.sampled_from(SECTIONS),
+           key=st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12),
+           value=st.integers() | st.text(max_size=8) | st.none() | st.floats(allow_nan=False))
+    def test_unknown_key_names_its_path(self, section, key, value, tmp_path_factory):
+        known = default_config_dict()
+        for part in filter(None, section.split(".")):
+            known = known[part]
+        assume(key not in known)
+        path = section + key
+        _assert_rejected(_nest(path, value), path, tmp_path_factory.mktemp("bad"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(path=st.sampled_from(NUMERIC_FIELDS), value=non_numbers)
+    def test_non_number_names_its_path(self, path, value, tmp_path_factory):
+        _assert_rejected(_nest(path, value), path, tmp_path_factory.mktemp("bad"))
