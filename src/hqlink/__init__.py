@@ -23,21 +23,15 @@ from .ion import (
     decoherence_channel,
     emit_entangled_state,
     excitation_probability,
-    ramsey_curve,
-    simulate_spam_readout,
 )
 from .memory import (
     CombParams,
     PumpPlan,
     SpectralModel,
-    StarkControl,
     afc_efficiency,
     bandwidth_match,
     effective_depth,
     plan_pump_regions,
-    smafc_readout_time,
-    spectral_density,
-    stark_splitting,
     storage_channel,
 )
 from .photon import (
@@ -50,7 +44,6 @@ from .photon import (
     pbs_bitflip_channel,
     process_fidelity,
     process_matrix_channel,
-    window_efficiency,
 )
 from .qstate import (
     DensityMatrix,
@@ -61,8 +54,6 @@ from .qstate import (
     bell_state,
     expectation,
     fidelity,
-    partial_trace,
-    tensor_product,
     trace_distance,
     werner,
 )

@@ -250,10 +250,13 @@ def _validate_sections(errors: list, cfg: dict):
     for key, v in cfg["rates"].items():
         if not _finite_number(v) or v <= 0:
             errors.append(f"rates.{key}: expected a positive finite number, got {v!r}")
-    # closed ranges, as the channel constructors enforce them
+    # closed ranges, as the channel constructors enforce them; a white-noise
+    # rate costs a Bell state its own value of fidelity, which a depolarizing
+    # channel reaches only up to 3/4 (mixing fully to I/4)
     for section, keys, lo, hi in (
-            ("pipeline", ("qfc_process_fidelity", "excitation_error", "spam_error",
-                          "mw_rotation_error", "pi_collection_error"), 0, 1),
+            ("pipeline", ("qfc_process_fidelity",), 0, 1),
+            ("pipeline", ("excitation_error", "spam_error", "mw_rotation_error",
+                          "pi_collection_error"), 0, 0.75),
             ("pipeline", ("decoherence_exponent_a",), 1, 3),
             ("storage", ("eta_internal_h", "eta_internal_v"), 0, 1),
             ("storage", ("residual_infidelity",), 0, 0.5)):
@@ -270,13 +273,7 @@ def _validate_sections(errors: list, cfg: dict):
     if storage["eta_internal_h"] == storage["eta_internal_v"] == 0:
         errors.append("storage.eta_internal_h, storage.eta_internal_v: both 0, so the "
                       "memory stores nothing")
-    windows, target = cfg["pump"]["windows"], cfg["pump"]["target"]
-    if not isinstance(windows, (list, tuple)) or not all(map(_interval, windows)):
-        errors.append(f"pump.windows: expected a list of [lo, hi] number pairs with "
-                      f"lo < hi, got {windows!r}")
-    if not _interval(target):
-        errors.append(f"pump.target: expected a [lo, hi] number pair with lo < hi, "
-                      f"got {target!r}")
+    _validate_pump(errors, cfg["pump"])
     pipeline = cfg["pipeline"]
     v = pipeline["bootstrap_resamples"]
     if not _integer(v) or v < 100:
@@ -317,6 +314,36 @@ def _integer(v) -> bool:
 def _interval(v) -> bool:
     return (isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_finite_number, v))
             and v[0] < v[1])
+
+
+def _validate_pump(errors: list, pump: dict):
+    """Ordered intervals, finite offsets, nonnegative strengths and depths, a
+    positive broadening and a partial weight in [0, 1]."""
+    windows, target = pump["windows"], pump["target"]
+    if not isinstance(windows, (list, tuple)) or not all(map(_interval, windows)):
+        errors.append(f"pump.windows: expected a list of [lo, hi] number pairs with "
+                      f"lo < hi, got {windows!r}")
+    if not _interval(target):
+        errors.append(f"pump.target: expected a [lo, hi] number pair with lo < hi, "
+                      f"got {target!r}")
+    for key, least in (("ground_offsets", None), ("excited_offsets", None),
+                       ("strengths", 0), ("native_d", 0)):
+        for label, v in pump[key].items():
+            if not _finite_number(v) or (least is not None and v < least):
+                bound = "" if least is None else f" >= {least}"
+                errors.append(f"pump.{key}.{label}: expected a finite number{bound}, "
+                              f"got {v!r}")
+    for label in pump["strengths"]:
+        ground, _, excited = label.partition(":")
+        if ground not in pump["ground_offsets"] or excited not in pump["excited_offsets"]:
+            errors.append(f"pump.strengths.{label}: expected a ground:excited pair of "
+                          f"pump.ground_offsets and pump.excited_offsets labels")
+    v = pump["broadening_mhz"]
+    if not _finite_number(v) or v <= 0:
+        errors.append(f"pump.broadening_mhz: expected a positive finite number, got {v!r}")
+    v = pump["partial_weight"]
+    if not _finite_number(v) or not 0 <= v <= 1:
+        errors.append(f"pump.partial_weight: expected a number in [0, 1], got {v!r}")
 
 
 def _validate_sweep(errors: list, scen: str, sec: dict):

@@ -6,8 +6,8 @@ sublevels split by omega = 2 pi x 11.22 MHz; the relative phase of the pair
 advances at omega until the readout pulse, and the experiment cancels it with
 a microwave phase offset.
 
-Only the SPAM calibrations and the Ramsey fit, which no scenario calls, import
-scipy; importing this module, and so ``import hqlink``, loads numpy only.
+Only the SPAM calibrations, which no scenario calls, import scipy; importing
+this module, and so ``import hqlink``, loads numpy only.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qstate import PureState, QuantumChannel, dephasing_channel
-from .rng import as_rng
 
 ZEEMAN_OMEGA_DEFAULT = 2 * math.pi * 11.22e6  # rad/s
 
@@ -127,50 +126,9 @@ def excitation_probability(fit: ExcitationFit) -> float:
     return min(max(p_bright / (2 / 3), 0.0), 1.0)
 
 
-def simulate_spam_readout(true_state: str, params: SpamParams, rng_seed) -> tuple[int, str]:
-    """One readout shot: photon count and the thresholded verdict.
-
-    ``true_state`` is "bright" or "dark".  A dark ion only sees background;
-    a bright ion scatters until its Poisson budget or the leak process stops
-    it, plus background.
-    """
-    rng = as_rng(rng_seed)
-    counts = _draw_counts(true_state, params, rng, 1)[0]
-    verdict = "bright" if counts > params.threshold else "dark"
-    return int(counts), verdict
-
-
-def simulate_spam_batch(true_state: str, params: SpamParams, shots: int, rng_seed) -> np.ndarray:
-    """Vectorized photon counts for many shots of the same prepared state."""
-    rng = as_rng(rng_seed)
-    return _draw_counts(true_state, params, rng, shots)
-
-
-def _draw_counts(true_state: str, params: SpamParams,
-                 rng: np.random.Generator, shots: int) -> np.ndarray:
-    if true_state not in ("bright", "dark"):
-        raise ValueError(f"unknown state {true_state!r}")
-    background = rng.poisson(params.background_mean, shots)
-    if true_state == "dark":
-        return background
-    budget = rng.poisson(params.mean_bright_counts, shots)
-    if params.leak_per_scatter > 0:
-        before_leak = rng.geometric(params.leak_per_scatter, shots) - 1
-        budget = np.minimum(budget, before_leak)
-    return budget + background
-
-
-def spam_fidelities(params: SpamParams, shots: int, rng_seed) -> tuple[float, float]:
-    """Empirical (dark, bright) readout fidelities over the given shot count."""
-    dark = simulate_spam_batch("dark", params, shots, as_rng(rng_seed))
-    bright = simulate_spam_batch("bright", params, shots, as_rng(rng_seed))
-    return (float((dark <= params.threshold).mean()),
-            float((bright > params.threshold).mean()))
-
-
 def calibrate_spam_background(dark_fidelity: float, threshold: float = 1.5) -> float:
     """Poisson background mean reproducing the dark-state fidelity."""
-    from scipy import optimize, special  # no scenario calls the calibration or fits
+    from scipy import optimize, special  # no scenario calls the calibration
 
     kmax = int(math.floor(threshold))
 
@@ -226,36 +184,3 @@ def decoherence_infidelity(params: IonParams, t_us: float, exponent_a: float = 2
     """(1 - exp(-(t/tau)^a)) / 2, the Bell-state infidelity of the channel."""
     tau_us = params.coherence_time_tau_ms * 1e3
     return (1 - math.exp(-((t_us / tau_us) ** exponent_a))) / 2
-
-
-def ramsey_curve(t, C: float, D: float, omega_r: float, phi_r0: float, tau_co: float):
-    """Ramsey fringe C + D exp(-(t/tau)^2) cos(2 pi omega_r t + phi_r0)."""
-    if tau_co <= 0:
-        raise ValueError("coherence time must be positive")
-    t = np.asarray(t, dtype=float)
-    return C + D * np.exp(-((t / tau_co) ** 2)) * np.cos(2 * np.pi * omega_r * t + phi_r0)
-
-
-def fit_ramsey(t, p_bright, p0=None) -> dict:
-    """Least-squares fit of ramsey_curve; returns parameter dict with errors."""
-    from scipy import optimize
-
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(p_bright, dtype=float)
-    if p0 is None:
-        span = t.max() - t.min()
-        p0 = (float(y.mean()), float((y.max() - y.min()) / 2), 4.0 / span, 0.0, span / 2)
-    popt, pcov = optimize.curve_fit(ramsey_curve, t, y, p0=p0, maxfev=20000)
-    perr = np.sqrt(np.diag(pcov))
-    names = ("C", "D", "omega_r", "phi_r0", "tau_co")
-    out = {n: float(v) for n, v in zip(names, popt)}
-    out.update({n + "_err": float(e) for n, e in zip(names, perr)})
-    return out
-
-
-def __getattr__(name: str):
-    # ``hqlink.ion.special`` stays reachable; scipy loads on first access
-    if name == "special":
-        from scipy import special
-        return special
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

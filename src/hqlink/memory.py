@@ -2,15 +2,15 @@
 
 Models comb efficiency versus storage time, bandwidth matching between the
 ion's double-Lorentzian emission and the memory's absorption band, the
-optical-pumping plan that builds up the effective absorption depth, the
-Stark-controlled on-demand readout schedule, and the heralded polarization
-storage channel.
+optical-pumping plan that builds up the effective absorption depth, and the
+heralded polarization storage channel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -38,6 +38,10 @@ class CombParams:
     finesse: float | None = None
 
     def __post_init__(self):
+        for name in ("d", "gamma_comb_khz", "delta_mhz", "bandwidth_mhz", "finesse"):
+            v = getattr(self, name)
+            if v is not None and not (isinstance(v, Real) and math.isfinite(v)):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
         if self.d <= 0:
             raise ValueError("absorption depth must be positive")
         if self.gamma_comb_khz <= 0 or self.delta_mhz <= 0:
@@ -95,19 +99,6 @@ def afc_efficiency(c: CombParams, t_storage_ns: float) -> float:
     eta = (COMB_B ** 2) * d_over_f ** 2 * math.exp(
         -COMB_B * d_over_f - 2 * math.pi * COMB_B ** 2 * t_s ** 2 * gamma_hz ** 2)
     return min(max(eta, 0.0), 1.0)
-
-
-def spectral_density(f_mhz: float, m: SpectralModel):
-    """Emission spectrum, incoherent sum of two Lorentzians.
-
-    Each component peaks at 1, so the sum reaches 2 where the components
-    coincide (zero Zeeman splitting).
-    """
-    hw = m.gamma_natural_mhz / 2.0
-    c = m.zeeman_split_mhz / 2.0
-    f = np.asarray(f_mhz, dtype=float)
-    val = hw ** 2 / ((f - c) ** 2 + hw ** 2) + hw ** 2 / ((f + c) ** 2 + hw ** 2)
-    return float(val) if np.isscalar(f_mhz) else val
 
 
 def bandwidth_match(m: SpectralModel) -> float:
@@ -200,21 +191,6 @@ def plan_pump_regions(level_offsets: dict, windows: list[Interval],
                     pumped_regions=regions)
 
 
-def pump_plan_csv(plan: PumpPlan) -> str:
-    """Interval list as CSV rows (transition, lo_MHz, hi_MHz, fraction).
-
-    Regions computed by the planner are fully pumped, so the fraction column
-    is 1.0; partially weighted contributions only arise inside the
-    effective-depth population model.
-    """
-    lines = ["transition,lo_MHz,hi_MHz,fraction"]
-    for key in sorted(plan.pumped_regions):
-        label = f"{key[0]}->{key[1]}"
-        for lo, hi in plan.pumped_regions[key]:
-            lines.append(f"{label},{lo:.6g},{hi:.6g},1")
-    return "\n".join(lines) + "\n"
-
-
 def _pumped_levels(transitions: dict, x: float, window: Interval) -> set:
     lo, hi = window
     out = set()
@@ -305,68 +281,6 @@ def effective_depth(plan: PumpPlan, native_d: float, strengths: dict,
     if native == 0:
         return 0.0
     return native_d * post / native
-
-
-# ---------------------------------------------------------------------------
-# Stark-controlled readout
-
-
-@dataclass(frozen=True)
-class StarkControl:
-    """Electric-pulse schedule for on-demand echo readout.
-
-    The first pulse must arrive before the first echo; the second pulse has
-    reverse polarity and selects which echo order is released.
-    """
-
-    shift_rate_khz_per_v_cm: float = 5.80
-    pulse_voltage_v: float = 8.6
-    pulse_duration_ns: float = 100.0
-    echo_period_ns: float = 500.0
-    readout_order_n: int = 2
-    first_pulse_ns: float = 200.0
-    second_pulse_ns: float = 750.0
-    second_pulse_reversed: bool = True
-
-    MAX_ORDER = 10  # beyond the measured regime
-
-    def __post_init__(self):
-        if self.shift_rate_khz_per_v_cm <= 0:
-            raise ValueError("shift rate must be positive")
-        if not 1 <= self.readout_order_n <= self.MAX_ORDER:
-            raise ValueError(f"readout order must be in [1, {self.MAX_ORDER}]")
-        if self.echo_period_ns <= 0 or self.pulse_duration_ns <= 0:
-            raise ValueError("durations must be positive")
-
-
-def smafc_readout_time(s: StarkControl) -> float:
-    """Release time n * echo_period of the selected echo, with schedule checks."""
-    if s.first_pulse_ns >= s.echo_period_ns:
-        raise ValueError(
-            f"first Stark pulse at {s.first_pulse_ns} ns misses the first echo "
-            f"at {s.echo_period_ns} ns")
-    if not s.second_pulse_reversed:
-        raise ValueError("second Stark pulse must have reverse polarity")
-    n = s.readout_order_n
-    lo, hi = (n - 1) * s.echo_period_ns, n * s.echo_period_ns
-    if not lo < s.second_pulse_ns <= hi:
-        raise ValueError(
-            f"second pulse at {s.second_pulse_ns} ns outside ({lo}, {hi}] for echo order {n}")
-    return n * s.echo_period_ns
-
-
-def stark_splitting(e_field_v_per_cm: float, rate_khz_per_v_cm: float = 5.80) -> float:
-    """Linear Stark splitting in kHz between the two shifted sub-ensembles."""
-    if rate_khz_per_v_cm <= 0:
-        raise ValueError("shift rate must be positive")
-    if e_field_v_per_cm < 0:
-        raise ValueError("field must be nonnegative")
-    return rate_khz_per_v_cm * e_field_v_per_cm
-
-
-def mean_stark_rate(rate_plus: float, rate_minus: float) -> float:
-    """Mean magnitude of the +/- shift-rate pair."""
-    return (abs(rate_plus) + abs(rate_minus)) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Photon chain between ion emission and the memory/detectors.
 
 Covers the frequency-conversion process matrix, arrival-time-jitter
-dephasing, polarizing-beam-splitter leakage, dark-noise admixture and the
-temporal detection window.
+dephasing, polarizing-beam-splitter leakage and the dark-noise admixture.
 """
 
 from __future__ import annotations
@@ -11,6 +10,7 @@ import importlib.resources
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -27,6 +27,10 @@ from .qstate import (
 )
 
 CHI_TOL = 1e-9
+# Chi eigenvalues at or below this are the eigensolver's rounding of zero
+# weight (a rank-1 chi shows ~5e-16); dropping them costs the channel at most
+# 4e-14 of trace, far inside TRACE_TOL.
+KRAUS_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,10 @@ class JitterParams:
     zeeman_omega: float = ZEEMAN_OMEGA_DEFAULT
 
     def __post_init__(self):
+        for name in ("awg_rms_ns", "transceiver_rms_ns"):
+            v = getattr(self, name)
+            if not (isinstance(v, Real) and math.isfinite(v)):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
         if self.awg_rms_ns < 0 or self.transceiver_rms_ns < 0:
             raise ValueError("jitter components must be nonnegative")
 
@@ -47,14 +55,10 @@ class NoiseParams:
     """Detection-side noise figures."""
 
     pbs_extinction: float = 3500.0
-    window_ns: float = 30.0
-    lifetime_ns: float = 8.05
 
     def __post_init__(self):
         if self.pbs_extinction <= 1:
             raise ValueError("extinction ratio must exceed 1")
-        if self.window_ns <= 0 or self.lifetime_ns <= 0:
-            raise ValueError("window and lifetime must be positive")
 
 
 @dataclass(frozen=True)
@@ -176,50 +180,17 @@ def process_matrix_channel(chi: ProcessMatrix) -> QuantumChannel:
     """Kraus decomposition of a chi matrix.
 
     Eigendecompose chi = sum_i lam_i v_i v_i^dag and set
-    K_i = sqrt(lam_i) sum_m (v_i)_m P_m.  Rank-1 chi yields a single unitary
-    Kraus operator.
+    K_i = sqrt(lam_i) sum_m (v_i)_m P_m, skipping eigenvalues at or below
+    KRAUS_FLOOR.  Rank-1 chi yields a single unitary Kraus operator.
     """
     w, v = np.linalg.eigh(chi.chi)
     kraus = []
     for i in range(4):
-        if w[i] < CHI_TOL:
+        if w[i] <= KRAUS_FLOOR:
             continue
         op = sum(v[m, i] * PAULIS[m] for m in range(4))
-        kraus.append(math.sqrt(max(w[i], 0.0)) * op)
+        kraus.append(math.sqrt(w[i]) * op)
     return QuantumChannel(tuple(kraus))
-
-
-def process_tomography(ch: QuantumChannel) -> ProcessMatrix:
-    """Reconstruct the chi matrix of a single-qubit channel by linear inversion.
-
-    Probes the channel with the informationally complete inputs
-    {|0>, |1>, |+>, |+i>} and solves the 16x16 linear system relating chi to
-    the output matrices.
-    """
-    if ch.dim != 2:
-        raise StateError("process tomography expects a single-qubit channel")
-    kets = [np.array([1, 0]), np.array([0, 1]),
-            np.array([1, 1]) / math.sqrt(2), np.array([1, 1j]) / math.sqrt(2)]
-    inputs = [np.outer(k, np.conj(k)).astype(complex) for k in kets]
-    a = np.zeros((16, 16), dtype=complex)
-    b = np.zeros(16, dtype=complex)
-    for k, rho_in in enumerate(inputs):
-        rho_out = sum(ka @ rho_in @ ka.conj().T for ka in ch.kraus_ops)
-        for i in range(2):
-            for j in range(2):
-                row = k * 4 + i * 2 + j
-                b[row] = rho_out[i, j]
-                for m in range(4):
-                    for n in range(4):
-                        a[row, m * 4 + n] = (PAULIS[m] @ rho_in @ PAULIS[n])[i, j]
-    chi = np.linalg.solve(a, b).reshape(4, 4)
-    chi = (chi + chi.conj().T) / 2
-    return ProcessMatrix(chi)
-
-
-def window_efficiency(p: NoiseParams) -> float:
-    """Fraction of the exponential emission captured by the detection window."""
-    return 1 - math.exp(-p.window_ns / p.lifetime_ns)
 
 
 def process_fidelity(chi: ProcessMatrix, chi_ideal: ProcessMatrix) -> float:

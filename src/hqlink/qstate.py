@@ -17,7 +17,6 @@ Z (x) Z evaluates to +1 on it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,20 +210,6 @@ class QuantumChannel:
 # operations
 
 
-def tensor_product(a, b):
-    """Kronecker product of two states of the same kind (max 2 qubits total)."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        if a.dim * b.dim > MAX_DIM:
-            raise StateError("tensor product exceeds the two-qubit limit")
-        return PureState(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        if a.dim * b.dim > MAX_DIM:
-            raise StateError("tensor product exceeds the two-qubit limit")
-        sub = a.subnormalized or b.subnormalized
-        return DensityMatrix(np.kron(a.matrix, b.matrix), subnormalized=sub)
-    raise StateError("tensor_product operands must both be PureState or DensityMatrix")
-
-
 def fidelity(rho: DensityMatrix, target: PureState) -> float:
     """<target| rho |target>, real in [0, 1]."""
     if rho.dim != target.dim:
@@ -254,17 +239,6 @@ def expectation(rho: DensityMatrix, obs: Observable) -> float:
     if abs(val.imag) > 1e-9:
         raise StateError(f"expectation has imaginary part {val.imag}")
     return float(val.real)
-
-
-def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
-    """Reduce a two-qubit state to the kept subsystem (0 = ion, 1 = photon)."""
-    if rho.dim != 4:
-        raise StateError("partial_trace expects a 4x4 state")
-    if keep not in (0, 1):
-        raise StateError(f"invalid subsystem index {keep}")
-    r = rho.matrix.reshape(2, 2, 2, 2)
-    reduced = np.trace(r, axis1=1, axis2=3) if keep == 0 else np.trace(r, axis1=0, axis2=2)
-    return DensityMatrix(reduced, subnormalized=rho.subnormalized)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -383,7 +357,3 @@ def matrix_from_json_dict(d: dict) -> np.ndarray:
 def round15(x: float) -> float:
     # fixed 15-significant-digit round-trip keeps reports byte-stable
     return float(f"{float(x):.15g}")
-
-
-def dump_matrix_json(m: np.ndarray) -> str:
-    return json.dumps(matrix_to_json_dict(m), indent=2, sort_keys=True)

@@ -250,29 +250,17 @@ def _backtrack(x: np.ndarray, step: np.ndarray, slope: float, value: float,
     return None
 
 
-def mle_reconstruct(records: list[CountRecord]) -> DensityMatrix:
-    """Maximum-likelihood two-qubit state from the 9-setting counts.
-
-    Maximizes the multinomial log-likelihood over
-    rho = T T^dag / tr(T T^dag), T lower-triangular and packed as 16 reals x
-    (James et al., PRA 64, 052312, 2001).  Each outcome probability is a
-    quadratic form x^T M_n x / x^T x, so with weights w_n = counts / total
-    the objective f = -sum_n w_n log(x^T M_n x) + log(x^T x) has a
-    closed-form gradient and Hessian.  From the linear-inversion start, with
-    its eigenvalues clipped to a small floor, each step is a saddle-free
-    Newton step with Levenberg-Marquardt damping,
-    d = -V diag(1 / (|lambda| + 0.1 |g|)) V^T g over the eigenpairs of the
-    Hessian, shortened by Armijo backtracking; x is then rescaled to unit
-    norm, which leaves f unchanged.  Raises NonConvergenceError when the
-    result is not finite or its final gradient norm per count exceeds
-    ``GRADIENT_TOL``.
-    """
-    counts, shots = _grid_counts(records)
-    weights = counts.ravel() / counts.sum()
-    rho = (_DESIGN_PINV @ (counts / shots[:, None]).ravel()).reshape(4, 4)
+def _start(rho: np.ndarray) -> np.ndarray:
+    """Packed Cholesky factor of rho with its eigenvalues floored at
+    _START_FLOOR, which keeps T at full rank, and rescaled to unit sum."""
     w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
     w = np.maximum(w, _START_FLOOR)
-    x = _pack_lower(np.linalg.cholesky((v * (w / w.sum())) @ v.conj().T))
+    return _pack_lower(np.linalg.cholesky((v * (w / w.sum())) @ v.conj().T))
+
+
+def _newton(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """Up to MAX_STEPS damped Newton steps from x: the unit-norm end point and
+    its gradient norm per count."""
     x, mx, probs, value, grad = _evaluate(x, weights)
     for _ in range(MAX_STEPS):
         grad_norm = np.linalg.norm(grad)
@@ -290,7 +278,36 @@ def mle_reconstruct(records: list[CountRecord]) -> DensityMatrix:
         if trial is None:
             break
         x, mx, probs, value, grad = trial
-    grad_norm = float(np.linalg.norm(grad))
+    return x, float(np.linalg.norm(grad))
+
+
+def mle_reconstruct(records: list[CountRecord]) -> DensityMatrix:
+    """Maximum-likelihood two-qubit state from the 9-setting counts.
+
+    Maximizes the multinomial log-likelihood over
+    rho = T T^dag / tr(T T^dag), T lower-triangular and packed as 16 reals x
+    (James et al., PRA 64, 052312, 2001).  Each outcome probability is a
+    quadratic form x^T M_n x / x^T x, so with weights w_n = counts / total
+    the objective f = -sum_n w_n log(x^T M_n x) + log(x^T x) has a
+    closed-form gradient and Hessian.  From the linear-inversion start, with
+    its eigenvalues clipped to a small floor, each step is a saddle-free
+    Newton step with Levenberg-Marquardt damping,
+    d = -V diag(1 / (|lambda| + 0.1 |g|)) V^T g over the eigenpairs of the
+    Hessian, shortened by Armijo backtracking; x is then rescaled to unit
+    norm, which leaves f unchanged.  A diagonal entry of T that heads for 0
+    while the optimum has full rank can stall the steps; a fit that stops
+    above ``GRADIENT_TOL`` therefore starts once more from its own state,
+    with the eigenvalues floored again.  Raises NonConvergenceError when the
+    result is not finite or its final gradient norm per count still exceeds
+    ``GRADIENT_TOL``.
+    """
+    counts, shots = _grid_counts(records)
+    weights = counts.ravel() / counts.sum()
+    rho = (_DESIGN_PINV @ (counts / shots[:, None]).ravel()).reshape(4, 4)
+    x, grad_norm = _newton(_start(rho), weights)
+    if grad_norm > GRADIENT_TOL:
+        t = _unpack_lower(x)
+        x, grad_norm = _newton(_start(t @ t.conj().T), weights)
     if not grad_norm <= GRADIENT_TOL:  # also catches a non-finite result
         raise NonConvergenceError(
             f"MLE stopped at gradient norm {grad_norm:.3e} per count "
@@ -316,22 +333,6 @@ def records_to_csv(records: list[CountRecord]) -> str:
         counts = ",".join(f"{c:.15g}" for c in r.counts)
         lines.append(f"{r.setting.ion_axis},{r.setting.photon_axis},{counts}")
     return "\n".join(lines) + "\n"
-
-
-def records_from_csv(text: str) -> list[CountRecord]:
-    """Parse the CSV layout written by records_to_csv."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != "setting_ion,setting_photon,n_pp,n_pm,n_mp,n_mm":
-        raise ValueError("unrecognized count-record CSV header")
-    records = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 6:
-            raise ValueError(f"malformed count row: {ln!r}")
-        setting = MeasurementSetting(parts[0], parts[1])
-        counts = tuple(float(p) for p in parts[2:])
-        records.append(CountRecord(setting=setting, counts=counts, shots=sum(counts)))
-    return records
 
 
 # ---------------------------------------------------------------------------

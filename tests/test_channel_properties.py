@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqlink.config import ExperimentConfig
+from hqlink.config import ConfigError, ExperimentConfig
 from hqlink.ion import emit_entangled_state
 from hqlink.qstate import (
     CPTP_TOL,
     DensityMatrix,
-    StateError,
     apply_channel,
     bitflip_channel,
     dephasing_channel,
@@ -128,11 +127,20 @@ class TestPipelineChannelProperties:
             assert 0.0 <= f <= 1.0, name
 
     @pytest.mark.parametrize("rate", WHITE_NOISE_RATES)
-    def test_white_noise_rate_above_three_quarters_raises_state_error(self, rate):
-        # load-time validation accepts [0, 1]; the channel itself stops at 3/4
-        cfg = ExperimentConfig.defaults("ti_qm", pipeline={rate: 0.9})
-        with pytest.raises(StateError, match="depolarizing probability"):
-            pipeline_channels(cfg, "ti_qm")
+    def test_white_noise_rate_above_three_quarters_rejected_at_load(self, rate):
+        # the channel itself stops at 3/4, so load-time validation does too
+        ExperimentConfig.defaults("ti_qm", pipeline={rate: 0.75})
+        with pytest.raises(ConfigError, match=f"pipeline.{rate}: expected a number in "
+                                              r"\[0, 0.75\], got 0.9"):
+            ExperimentConfig.defaults("ti_qm", pipeline={rate: 0.9})
+
+    @pytest.mark.parametrize("process_fidelity", [2.1e-10, 5e-10])
+    def test_tiny_qfc_process_fidelity_keeps_unit_trace(self, process_fidelity):
+        # chi weights below the chi tolerance still belong to the channel
+        cfg = ExperimentConfig.defaults(
+            "post_qfc", pipeline={"qfc_process_fidelity": process_fidelity})
+        state, _, _ = analytic_pipeline_state(cfg, "post_qfc")
+        assert abs(state.trace - 1.0) <= 1e-14
 
     @pytest.mark.parametrize("eta", [1e-310, 5e-324])
     def test_subnormal_storage_efficiency_fails_in_the_pipeline(self, eta):

@@ -252,6 +252,19 @@ class TestCli:
         ("budget", {"pump": {"windows": "x"}}, "pump.windows"),
         ("budget", {"pump": {"windows": [[497.2, 274.0]]}}, "pump.windows"),
         ("budget", {"pump": {"target": [224.5]}}, "pump.target"),
+        ("budget", {"pump": {"broadening_mhz": "x"}}, "pump.broadening_mhz"),
+        ("budget", {"pump": {"ground_offsets": {"3/2g": "x"}}}, "pump.ground_offsets.3/2g"),
+        ("budget", {"pump": {"excited_offsets": {"5/2e": None}}}, "pump.excited_offsets.5/2e"),
+        ("budget", {"pump": {"strengths": {"1/2g:1/2e": "x"}}}, "pump.strengths.1/2g:1/2e"),
+        ("budget", {"pump": {"strengths": {"1/2g-1/2e": 0.5}}}, "pump.strengths.1/2g-1/2e"),
+        ("budget", {"pump": {"native_d": {"H": [5.24]}}}, "pump.native_d.H"),
+        ("budget", {"pump": {"partial_weight": 7}}, "pump.partial_weight"),
+        ("afc_sweep", {"comb": {"d": float("nan")}}, "comb: d must be a finite number"),
+        ("ti_qm", {"jitter": {"awg_rms_ns": float("nan")}},
+         "jitter: awg_rms_ns must be a finite number"),
+        ("ti_qm", {"jitter": {"transceiver_rms_ns": float("inf")}},
+         "jitter: transceiver_rms_ns must be a finite number"),
+        ("ti_qm", {"pipeline": {"spam_error": 0.8}}, "pipeline.spam_error"),
     ])
     def test_bad_value_exit_two(self, scenario, config, field, tmp_path, capsys):
         _assert_exit_two(tmp_path, capsys, scenario, config, field)
@@ -299,8 +312,7 @@ class TestCli:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("config, message", [
-        # load-time checks accept these; the pipeline cannot build them
-        ({"pipeline": {"spam_error": 0.9}}, "depolarizing probability"),
+        # load-time checks accept this; the pipeline cannot build it
         ({"storage": {"eta_internal_h": 0.0, "eta_internal_v": 5e-324}},
          "zero-trace state"),
     ])
@@ -374,7 +386,7 @@ def _assert_exit_two(tmp_path, capsys, scenario, config, field):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # only the unused ion fits need scipy.optimize, and they import it themselves
+    # only the SPAM calibrations need scipy.optimize, and they import it themselves
     src = str(Path(hqlink.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -425,11 +437,3 @@ print(bg.hex(), calibrate_spam_leak(0.987, 12.0, bg, 1.5).hex(),
     assert _fresh_python(code).split() == [SPAM_BACKGROUND_PIN, SPAM_LEAK_PIN,
                                            SPAM_ERROR_PIN]
 
-
-def test_ion_special_resolves_to_scipy_special():
-    import scipy.special
-
-    import hqlink.ion as ion
-    assert ion.special is scipy.special
-    with pytest.raises(AttributeError, match="no_such_name"):
-        ion.no_such_name  # noqa: B018

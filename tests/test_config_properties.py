@@ -22,14 +22,15 @@ from hqlink.config import (
 )
 
 unit = st.floats(0.0, 1.0)
+white_noise_rate = st.floats(0.0, 0.75)
 # the ranges _validate_sections accepts
 PIPELINE_VALUES = {
     "qfc_process_fidelity": unit,
     "decoherence_exponent_a": st.floats(1.0, 3.0),
-    "excitation_error": unit,
-    "spam_error": unit,
-    "mw_rotation_error": unit,
-    "pi_collection_error": unit,
+    "excitation_error": white_noise_rate,
+    "spam_error": white_noise_rate,
+    "mw_rotation_error": white_noise_rate,
+    "pi_collection_error": white_noise_rate,
     "apply_storage_residual": st.booleans(),
     "bootstrap_resamples": st.integers(100, 10 ** 6),
 }
@@ -64,6 +65,9 @@ def _numeric_fields() -> list[str]:
         fields += [f"scenarios.{scen}.{k}" for k in (key, "snr", "decoherence_time_us")]
     for scen, keys in SWEEP_RANGES.items():
         fields += [f"scenarios.{scen}.{k}" for k in ("points", *keys)]
+    fields += ["pump.broadening_mhz", "pump.partial_weight"]
+    fields += [f"{path}.{label}" for path in LABEL_MAPS
+               for label in d["pump"][path.split(".")[1]]]
     return fields
 
 

@@ -1,5 +1,5 @@
-"""AFC memory tests: comb efficiency, bandwidth matching, pump planning,
-Stark readout schedule and the heralded storage channel."""
+"""AFC memory tests: comb efficiency, bandwidth matching, pump planning and
+the heralded storage channel."""
 
 import math
 
@@ -10,16 +10,11 @@ from hqlink.memory import (
     COMB_B,
     CombParams,
     SpectralModel,
-    StarkControl,
     afc_efficiency,
     bandwidth_match,
     effective_depth,
     herald_probability,
-    mean_stark_rate,
     plan_pump_regions,
-    smafc_readout_time,
-    spectral_density,
-    stark_splitting,
     storage_channel,
     storage_residual_channel,
 )
@@ -110,14 +105,6 @@ class TestBandwidthMatch:
             b = bandwidth_match(SpectralModel(detuning_mhz=-df))
             assert a == pytest.approx(b, abs=1e-8)
 
-    def test_spectral_density_shape(self):
-        assert spectral_density(0.0, SpectralModel(zeeman_split_mhz=0.0)) == \
-            pytest.approx(2.0, abs=1e-12)
-        assert spectral_density(1e9, SpectralModel()) == pytest.approx(0.0, abs=1e-12)
-        m = SpectralModel()
-        for f in np.linspace(0, 80, 17):
-            assert spectral_density(f, m) == pytest.approx(spectral_density(-f, m), abs=1e-12)
-
 
 class TestPumpPlanner:
     def test_class_ix_regression(self):
@@ -194,50 +181,6 @@ class TestEffectiveDepth:
         plan = plan_pump_regions(OFFSETS, WINDOWS, TARGET, SPAN)
         with pytest.raises(ValueError):
             effective_depth(plan, 5.24, {("x", "y"): 1.0})
-
-    def test_plan_csv_export(self):
-        from hqlink.memory import pump_plan_csv
-        plan = plan_pump_regions(OFFSETS, WINDOWS, TARGET, SPAN)
-        text = pump_plan_csv(plan)
-        lines = text.strip().splitlines()
-        assert lines[0] == "transition,lo_MHz,hi_MHz,fraction"
-        assert "5/2g->1/2e,0,223.2,1" in lines
-        assert "5/2g->1/2e,274,497.2,1" in lines
-        assert len(lines) == 1 + 10  # header + ten intervals
-
-
-class TestStarkReadout:
-    def test_second_order_echo(self):
-        s = StarkControl(readout_order_n=2, second_pulse_ns=750.0)
-        assert smafc_readout_time(s) == pytest.approx(1000.0)
-
-    def test_first_order_echo(self):
-        s = StarkControl(readout_order_n=1, second_pulse_ns=400.0)
-        assert smafc_readout_time(s) == pytest.approx(500.0)
-
-    def test_late_first_pulse_rejected(self):
-        s = StarkControl(first_pulse_ns=600.0)
-        with pytest.raises(ValueError):
-            smafc_readout_time(s)
-
-    def test_second_pulse_window_enforced(self):
-        s = StarkControl(readout_order_n=2, second_pulse_ns=1200.0)
-        with pytest.raises(ValueError):
-            smafc_readout_time(s)
-
-    def test_polarity_enforced(self):
-        s = StarkControl(second_pulse_reversed=False)
-        with pytest.raises(ValueError):
-            smafc_readout_time(s)
-
-    def test_order_bound(self):
-        with pytest.raises(ValueError):
-            StarkControl(readout_order_n=11)
-
-    def test_stark_splitting_linear(self):
-        assert stark_splitting(0.0) == 0.0
-        assert stark_splitting(100.0, 5.80) == pytest.approx(580.0)
-        assert mean_stark_rate(5.74, -5.85) == pytest.approx(5.80, abs=0.01)
 
 
 class TestStorageChannel:

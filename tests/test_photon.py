@@ -1,5 +1,5 @@
-"""Photon-chain tests: jitter, PBS leakage, dark noise, process matrices and
-detection window."""
+"""Photon-chain tests: jitter, PBS leakage, dark noise and process
+matrices."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 
 from hqlink.photon import (
     JitterParams,
-    NoiseParams,
     ProcessMatrix,
     dark_noise_admixture,
     dark_noise_infidelity,
@@ -22,10 +21,9 @@ from hqlink.photon import (
     pbs_bitflip_channel,
     process_fidelity,
     process_matrix_channel,
-    process_tomography,
-    window_efficiency,
 )
 from hqlink.qstate import (
+    PAULIS,
     DensityMatrix,
     StateError,
     X,
@@ -157,12 +155,24 @@ class TestProcessMatrix:
             total = sum(k.conj().T @ k for k in ch.kraus_ops)
             assert np.max(np.abs(total - np.eye(2))) < 1e-8
 
-    def test_tomography_round_trip(self):
+    @pytest.mark.parametrize("fp", [2.1e-10, 5e-10, 1 - 5e-10])
+    def test_small_chi_weight_is_kept(self, fp):
+        # weights below CHI_TOL are still part of a trace-preserving map
+        ch = process_matrix_channel(depolarizing_chi(fp))
+        total = sum(k.conj().T @ k for k in ch.kraus_ops)
+        assert np.max(np.abs(total - np.eye(2))) <= 1e-14
+
+    def test_channel_acts_as_chi(self):
+        # sum_i K_i rho K_i^dag = sum_mn chi_mn P_m rho P_n^dag
         rng = np.random.default_rng(8)
         for _ in range(20):
             chi = _random_chi(rng)
-            recovered = process_tomography(process_matrix_channel(chi))
-            assert np.max(np.abs(recovered.chi - chi.chi)) < 1e-8
+            ch = process_matrix_channel(chi)
+            rho = random_state(rng, 2).matrix
+            expected = sum(chi.chi[m, n] * PAULIS[m] @ rho @ PAULIS[n]
+                           for m in range(4) for n in range(4))
+            out = sum(k @ rho @ k.conj().T for k in ch.kraus_ops)
+            assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_non_psd_chi_rejected(self):
         bad = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
@@ -192,25 +202,6 @@ class TestProcessFidelity:
         chi = load_reference_chi()
         f = process_fidelity(chi, identity_chi())
         assert f == pytest.approx(0.9732, abs=0.0014)
-
-
-class TestWindow:
-    def test_operating_point(self):
-        assert window_efficiency(NoiseParams()) == pytest.approx(0.976, abs=5e-4)
-
-    def test_zero_window(self):
-        with pytest.raises(ValueError):
-            NoiseParams(window_ns=0.0)
-
-    def test_half_life(self):
-        p = NoiseParams(window_ns=8.05 * math.log(2), lifetime_ns=8.05)
-        assert window_efficiency(p) == pytest.approx(0.5, abs=1e-12)
-
-    def test_monotone(self):
-        effs = [window_efficiency(NoiseParams(window_ns=w)) for w in np.linspace(1, 60, 30)]
-        assert all(b > a for a, b in zip(effs, effs[1:]))
-        effs = [window_efficiency(NoiseParams(lifetime_ns=lt)) for lt in np.linspace(2, 30, 30)]
-        assert all(b < a for a, b in zip(effs, effs[1:]))
 
 
 def _random_chi(rng) -> ProcessMatrix:

@@ -25,8 +25,6 @@ from hqlink.qstate import (
     matrix_from_json_dict,
     matrix_to_json_dict,
     maximally_mixed,
-    partial_trace,
-    tensor_product,
     trace_distance,
     werner,
     white_noise_channel,
@@ -41,34 +39,16 @@ def random_state(rng, dim=4):
     return DensityMatrix(m / np.trace(m).real)
 
 
-def ket(*amps):
-    v = np.array(amps, dtype=complex)
-    return PureState(v / np.linalg.norm(v))
+def ion_state(rho: DensityMatrix) -> DensityMatrix:
+    """Reduced state of the ion: the photon traced out of ion (x) photon."""
+    return DensityMatrix(np.trace(rho.matrix.reshape(2, 2, 2, 2), axis1=1, axis2=3))
 
 
-class TestTensorProduct:
-    def test_basis_kets(self):
-        out = tensor_product(ket(1, 0), ket(1, 0))
-        np.testing.assert_allclose(out.amplitudes, [1, 0, 0, 0])
-
-    def test_identity_halves(self):
-        out = tensor_product(maximally_mixed(2), maximally_mixed(2))
-        np.testing.assert_allclose(out.matrix, np.eye(4) / 4)
-
-    def test_superposed_products_give_entangled_pair(self):
-        # |1'>|sigma+> and |1>|sigma-> superposed with equal weight
-        a = tensor_product(ket(1, 0), ket(1, 0)).amplitudes
-        b = tensor_product(ket(0, 1), ket(0, 1)).amplitudes
-        psi = PureState((a + b) / np.sqrt(2))
-        np.testing.assert_allclose(psi.amplitudes, bell_state(0.0).amplitudes, atol=1e-15)
-
-    def test_dimension_overflow_rejected(self):
-        with pytest.raises(StateError):
-            tensor_product(ket(1, 0), bell_state(0.0))
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(StateError):
-            tensor_product(ket(1, 0), maximally_mixed(2))
+def test_bell_state_superposes_matching_basis_products():
+    # |1'>|sigma+> and |1>|sigma-> superposed with equal weight
+    a = np.kron([1, 0], [1, 0])
+    b = np.kron([0, 1], [0, 1])
+    np.testing.assert_allclose(bell_state(0.0).amplitudes, (a + b) / np.sqrt(2), atol=1e-15)
 
 
 def signed_zero_matrix(rng, dim):
@@ -194,31 +174,6 @@ class TestExpectation:
             expectation(maximally_mixed(2), Observable(np.kron(Z, Z)))
 
 
-class TestPartialTrace:
-    def test_bell_reduces_to_identity(self):
-        rho = bell_state(0.7).density()
-        for keep in (0, 1):
-            np.testing.assert_allclose(partial_trace(rho, keep).matrix, np.eye(2) / 2,
-                                       atol=1e-12)
-
-    def test_product_state(self):
-        rng = np.random.default_rng(5)
-        a, b = random_state(rng, 2), random_state(rng, 2)
-        joint = tensor_product(a, b)
-        np.testing.assert_allclose(partial_trace(joint, 0).matrix, a.matrix, atol=1e-12)
-        np.testing.assert_allclose(partial_trace(joint, 1).matrix, b.matrix, atol=1e-12)
-
-    def test_werner_half(self):
-        rho = werner(0.5)
-        for keep in (0, 1):
-            np.testing.assert_allclose(partial_trace(rho, keep).matrix, np.eye(2) / 2,
-                                       atol=1e-12)
-
-    def test_invalid_subsystem(self):
-        with pytest.raises(StateError):
-            partial_trace(werner(0.5), 2)
-
-
 class TestInvariants:
     def test_channel_kraus_sums_within_tolerance(self):
         rng = np.random.default_rng(13)
@@ -235,8 +190,8 @@ class TestInvariants:
             coh = rng.uniform()
             lifted = dephasing_channel(coh, subsystem=0)
             local = dephasing_channel(coh, subsystem=None)
-            via_joint = partial_trace(apply_channel(rho, lifted), 0)
-            via_local = apply_channel(partial_trace(rho, 0), local)
+            via_joint = ion_state(apply_channel(rho, lifted))
+            via_local = apply_channel(ion_state(rho), local)
             assert trace_distance(via_joint, via_local) < 1e-9
 
     def test_pipeline_states_stay_psd(self):
