@@ -57,6 +57,10 @@ class TestEmission:
         with pytest.raises(ValueError):
             emit_entangled_state(ION, -1.0)
 
+    def test_nonpositive_coherence_time_rejected(self):
+        with pytest.raises(ValueError, match="coherence time"):
+            IonParams(coherence_time_tau_ms=0.0)
+
 
 class TestExcitation:
     def test_zero_energy(self):
@@ -78,6 +82,13 @@ class TestExcitation:
                  for e in energies]
         assert all(b >= a - 1e-12 for a, b in zip(probs, probs[1:]))
 
+    @pytest.mark.parametrize("field,value", [
+        ("A", 0.0), ("A", 1.1), ("alpha", 0.0), ("beta", -1.0), ("E", -0.5),
+    ])
+    def test_invalid_fit_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            ExcitationFit(**{field: value})
+
 
 class TestSpam:
     def test_calibrated_fidelities(self):
@@ -98,6 +109,14 @@ class TestSpam:
 
     def test_overall_error_is_mean_misassignment(self):
         assert SpamParams().spam_error == pytest.approx(0.0075, abs=1e-12)
+
+    @pytest.mark.parametrize("field,value", [
+        ("threshold", 0.0), ("dark_fidelity", 1.1), ("bright_fidelity", -0.1),
+        ("leak_per_scatter", 1.5), ("background_mean", -0.1),
+    ])
+    def test_invalid_params_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            SpamParams(**{field: value})
 
 
 class TestDecoherence:

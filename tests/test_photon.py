@@ -8,6 +8,7 @@ import pytest
 
 from hqlink.photon import (
     JitterParams,
+    NoiseParams,
     ProcessMatrix,
     dark_noise_admixture,
     dark_noise_infidelity,
@@ -64,8 +65,27 @@ class TestJitter:
         rho = bell_state(0.4).density()
         np.testing.assert_allclose(apply_channel(rho, ch).matrix, rho.matrix, atol=1e-12)
 
+    @pytest.mark.parametrize("name,value", [
+        ("awg_rms_ns", float("nan")),
+        ("awg_rms_ns", float("inf")),
+        ("transceiver_rms_ns", float("nan")),
+        ("transceiver_rms_ns", float("-inf")),
+        ("awg_rms_ns", "0.1"),
+    ])
+    def test_non_finite_component_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            JitterParams(**{name: value})
+
+    def test_negative_component_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            JitterParams(transceiver_rms_ns=-0.1)
+
 
 class TestPbs:
+    def test_extinction_must_exceed_one(self):
+        with pytest.raises(ValueError, match="exceed 1"):
+            NoiseParams(pbs_extinction=1.0)
+
     def test_operating_point(self):
         ch = pbs_bitflip_channel(3500.0)
         rho = apply_channel(bell_state(0.0).density(), ch)

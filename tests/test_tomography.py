@@ -1,6 +1,8 @@
 """Tomography tests: count simulation, MLE reconstruction, CHSH and
 bootstrap error bars."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -31,6 +33,7 @@ from hqlink.tomography import (
     chsh,
     mle_reconstruct,
     records_from_probabilities,
+    records_to_csv,
     setting_projectors,
     simulate_counts,
     simulate_tomography,
@@ -182,6 +185,33 @@ class TestMle:
         assert_optimal(recs, m, source)
         assert np.linalg.eigvalsh(m).min() > 1e-3
 
+    def test_restart_only_when_first_pass_stalls(self, monkeypatch):
+        # a fit that converges in one pass returns that pass's state untouched
+        calls = []
+        newton = tomography._newton
+        monkeypatch.setattr(tomography, "_newton",
+                            lambda x, w: calls.append(1) or newton(x, w))
+        recs = simulate_tomography(werner(0.85), 200, 28.0, child_rng(3, "restart"))
+        mle_reconstruct(recs)
+        assert len(calls) == 1
+        table = [[85, 3, 7, 103], [49, 65, 42, 42], [64, 50, 41, 43], [55, 53, 38, 52],
+                 [93, 7, 6, 92], [57, 50, 44, 47], [52, 42, 50, 54], [40, 48, 54, 55],
+                 [10, 95, 88, 4]]
+        mle_reconstruct([CountRecord(s, tuple(c), sum(c))
+                         for s, c in zip(all_settings(), table)])
+        assert len(calls) == 3
+
+    def test_start_is_full_rank_cholesky_factor(self):
+        # a rank-1 input (the Bell state) floored to full rank at unit trace
+        t = tomography._unpack_lower(tomography._start(bell_state(0.0).density().matrix))
+        assert np.array_equal(t, np.tril(t))
+        rho = t @ t.conj().T
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        w = np.linalg.eigvalsh(rho)
+        assert w.min() == pytest.approx(tomography._START_FLOOR / (1 + 3 * tomography._START_FLOOR),
+                                        rel=1e-6)
+        assert fidelity(DensityMatrix(rho), bell_state(0.0)) > 0.999
+
 
 def assert_optimal(recs, m, source):
     """m is a state at which the likelihood of the counts is stationary and
@@ -297,3 +327,21 @@ def test_split_heralds():
     assert len(parts) == 9
     assert max(parts) - min(parts) <= 1
 
+
+
+class TestRecordCsv:
+    def test_header_and_one_row_per_record(self):
+        recs = simulate_tomography(werner(0.9), 50, None, child_rng(5, "csv"))
+        lines = records_to_csv(recs).splitlines()
+        assert lines[0] == "setting_ion,setting_photon,n_pp,n_pm,n_mp,n_mm"
+        assert len(lines) == 1 + len(recs)
+
+    def test_rows_read_back_with_csv_module(self):
+        # fractional counts survive to 15 significant digits
+        recs = records_from_probabilities(werner(0.7), shots=123.456)
+        rows = list(csv.DictReader(io.StringIO(records_to_csv(recs))))
+        assert [(r["setting_ion"], r["setting_photon"]) for r in rows] == \
+            [(s.ion_axis, s.photon_axis) for s in all_settings()]
+        for row, rec in zip(rows, recs):
+            got = [float(row[k]) for k in ("n_pp", "n_pm", "n_mp", "n_mm")]
+            np.testing.assert_allclose(got, rec.counts, rtol=1e-14)
