@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -273,6 +274,11 @@ def _validate_sections(errors: list, cfg: dict):
     if storage["eta_internal_h"] == storage["eta_internal_v"] == 0:
         errors.append("storage.eta_internal_h, storage.eta_internal_v: both 0, so the "
                       "memory stores nothing")
+    for key in ("eta_internal_h", "eta_internal_v"):  # subnormal: the herald underflows
+        v = storage[key]
+        if _number(v) and 0 < v < sys.float_info.min:
+            errors.append(f"storage.{key}: {v!r} is subnormal; expected 0 or at least "
+                          f"{sys.float_info.min!r}")
     _validate_pump(errors, cfg["pump"])
     pipeline = cfg["pipeline"]
     v = pipeline["bootstrap_resamples"]

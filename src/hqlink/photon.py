@@ -31,6 +31,9 @@ CHI_TOL = 1e-9
 # weight (a rank-1 chi shows ~5e-16); dropping them costs the channel at most
 # 4e-14 of trace, far inside TRACE_TOL.
 KRAUS_FLOOR = 1e-14
+# [m, n] holds P_n P_m, the products in the trace-preservation sum of a chi.
+_PAULI_PRODUCTS = PAULIS[None, :] @ PAULIS[:, None]
+_PAULI_PRODUCTS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,7 @@ class ProcessMatrix:
         if np.linalg.eigvalsh(chi).min() < -CHI_TOL:
             raise StateError("chi is not positive semidefinite")
         # trace preservation: sum_{mn} chi_mn P_n P_m = I
-        tp = sum(chi[m, n] * PAULIS[n] @ PAULIS[m] for m in range(4) for n in range(4))
+        tp = np.einsum("mn,mnab->ab", chi, _PAULI_PRODUCTS)
         if np.max(np.abs(tp - np.eye(2))) > CHI_TOL:
             raise StateError("chi does not induce a trace-preserving map")
         chi.flags.writeable = False
@@ -184,13 +187,9 @@ def process_matrix_channel(chi: ProcessMatrix) -> QuantumChannel:
     KRAUS_FLOOR.  Rank-1 chi yields a single unitary Kraus operator.
     """
     w, v = np.linalg.eigh(chi.chi)
-    kraus = []
-    for i in range(4):
-        if w[i] <= KRAUS_FLOOR:
-            continue
-        op = sum(v[m, i] * PAULIS[m] for m in range(4))
-        kraus.append(math.sqrt(w[i]) * op)
-    return QuantumChannel(tuple(kraus))
+    keep = w > KRAUS_FLOOR
+    ops = np.einsum("mi,mab->iab", v[:, keep], PAULIS)
+    return QuantumChannel(np.sqrt(w[keep])[:, None, None] * ops)
 
 
 def process_fidelity(chi: ProcessMatrix, chi_ideal: ProcessMatrix) -> float:

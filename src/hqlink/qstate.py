@@ -32,15 +32,16 @@ I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (I2, X, Y, Z)
 PAULI_LABELS = ("I", "X", "Y", "Z")
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square matrices: the same elementwise products
-    as np.kron (signed zeros included), without its general-shape bookkeeping."""
-    n, m = a.shape[0], b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
+    """Kronecker product of two square matrices, or of stacks of them
+    broadcast over their leading axes: the same elementwise products as
+    np.kron (signed zeros included), without its general-shape bookkeeping."""
+    n, m = a.shape[-1], b.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (n * m, n * m))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -48,8 +49,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# The 16 two-qubit Paulis P_a (x) P_b, a the outer index, built once.
-PAULIS_2Q = tuple(_read_only(kron(a, b)) for a in PAULIS for b in PAULIS)
+# The Paulis I, X, Y, Z as one read-only (4, 2, 2) stack, and the 16
+# two-qubit Paulis P_a (x) P_b, a the outer index, as a (16, 4, 4) stack.
+PAULIS = _read_only(np.array((I2, X, Y, Z)))
+PAULIS_2Q = _read_only(kron(PAULIS[:, None], PAULIS).reshape(16, 4, 4))
 
 
 class StateError(ValueError):
@@ -174,36 +177,38 @@ class Observable:
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """Completely positive map given by Kraus operators.
+    """Completely positive map given by its Kraus operators, held as one
+    read-only (n, d, d) array.
 
     Trace-preserving channels satisfy sum(K^dag K) = I within 1e-9; heralded
     (trace-decreasing) channels only require sum(K^dag K) <= I.
     """
 
-    kraus_ops: tuple
+    kraus_ops: np.ndarray
     trace_preserving: bool = True
 
     def __post_init__(self):
-        ops = tuple(_as_complex_matrix(k) for k in self.kraus_ops)
-        if not ops:
+        # shapes before stacking, as np.array raises a bare ValueError on
+        # ragged operators; the operators of an array share the first one's
+        ops = self.kraus_ops
+        mats = [_as_complex_matrix(k) for k in (ops[:1] if isinstance(ops, np.ndarray) else ops)]
+        if not mats:
             raise StateError("channel needs at least one Kraus operator")
-        dim = ops[0].shape[0]
-        if any(k.shape[0] != dim for k in ops):
+        if any(k.shape != mats[0].shape for k in mats):
             raise StateError("Kraus operators must share one dimension")
-        total = sum(k.conj().T @ k for k in ops)
+        ops = _read_only(np.array(ops, dtype=complex))
+        total = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
         if self.trace_preserving:
-            if np.max(np.abs(total - np.eye(dim))) > CPTP_TOL:
+            if np.max(np.abs(total - np.eye(ops.shape[1]))) > CPTP_TOL:
                 raise StateError("Kraus operators do not sum to identity")
         else:
             if np.linalg.eigvalsh(total).max() > 1.0 + CPTP_TOL:
                 raise StateError("trace-decreasing channel exceeds identity")
-        for k in ops:
-            k.flags.writeable = False
         object.__setattr__(self, "kraus_ops", ops)
 
     @property
     def dim(self) -> int:
-        return self.kraus_ops[0].shape[0]
+        return self.kraus_ops.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +230,7 @@ def apply_channel(rho: DensityMatrix, ch: QuantumChannel) -> DensityMatrix:
     """sum_i K_i rho K_i^dag; heralded channels return a subnormalized state."""
     if rho.dim != ch.dim:
         raise StateError(f"dimension mismatch: state {rho.dim}, channel {ch.dim}")
-    k = np.array(ch.kraus_ops)
+    k = ch.kraus_ops
     out = (k @ rho.matrix @ k.conj().transpose(0, 2, 1)).sum(axis=0)
     sub = rho.subnormalized or not ch.trace_preserving
     return DensityMatrix(out, subnormalized=sub)
@@ -289,16 +294,13 @@ def depolarizing_channel(p: float, dim: int) -> QuantumChannel:
     """Mix toward I/dim with probability p: rho -> (1-p) rho + p I/dim."""
     if not 0.0 <= p <= 1.0:
         raise StateError(f"depolarizing probability {p} outside [0, 1]")
-    if dim == 2:
-        paulis = PAULIS
-    elif dim == 4:
-        paulis = PAULIS_2Q
-    else:
+    paulis = {2: PAULIS, 4: PAULIS_2Q}.get(dim)
+    if paulis is None:
         raise StateError("depolarizing channel supports dim 2 or 4 only")
     n = len(paulis)  # d^2 Paulis; uniform Pauli noise at rate p*(n-1)/n mixes to I/d
-    kraus = [np.sqrt(1 - p * (n - 1) / n) * paulis[0]]
-    kraus += [np.sqrt(p / n) * P for P in paulis[1:]]
-    return QuantumChannel(tuple(kraus))
+    weights = np.full(n, np.sqrt(p / n))
+    weights[0] = np.sqrt(1 - p * (n - 1) / n)
+    return QuantumChannel(weights[:, None, None] * paulis)
 
 
 def white_noise_channel(bell_infidelity: float, dim: int = 4) -> QuantumChannel:

@@ -29,11 +29,12 @@ from .photon import (
     process_matrix_channel,
 )
 from .qstate import (
+    I2,
     QuantumChannel,
     apply_channel,
     bell_state,
-    embed_single_qubit,
     fidelity,
+    kron,
     matrix_to_json_dict,
     werner,
     white_noise_channel,
@@ -97,9 +98,8 @@ def pipeline_channels(cfg: ExperimentConfig, scenario: str) -> list[tuple[str, Q
     ]
     if scenario in ("post_qfc", "ti_qm", "chsh"):
         chi = depolarizing_chi(pl["qfc_process_fidelity"])
-        qfc2 = process_matrix_channel(chi)
-        kraus4 = tuple(embed_single_qubit(k, 1) for k in qfc2.kraus_ops)
-        chain.append(("qfc_process", QuantumChannel(kraus4)))
+        qfc2 = process_matrix_channel(chi)  # on the photon: I (x) K for each K
+        chain.append(("qfc_process", QuantumChannel(kron(I2, qfc2.kraus_ops))))
     if scenario in ("ti_qm", "chsh"):
         chain.append(("qm_storage", memory.storage_channel(storage["eta_internal_h"],
                                                            storage["eta_internal_v"])))

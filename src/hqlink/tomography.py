@@ -23,11 +23,11 @@ from .qstate import (
     bell_state,
     expectation,
     fidelity,
+    kron,
 )
 from .rng import as_rng
 
 AXES = ("Z", "X", "Y")
-_AXIS_OP = {"Z": PAULIS[3], "X": PAULIS[1], "Y": PAULIS[2]}
 
 OUTCOME_ORDER = ("++", "+-", "-+", "--")
 
@@ -57,19 +57,14 @@ def all_settings() -> list[MeasurementSetting]:
     return [MeasurementSetting(a, b) for a in AXES for b in AXES]
 
 
-def _build_projectors(setting: MeasurementSetting) -> np.ndarray:
-    out = []
-    for si in (+1, -1):
-        pi = (np.eye(2) + si * _AXIS_OP[setting.ion_axis]) / 2
-        for sp in (+1, -1):
-            pp = (np.eye(2) + sp * _AXIS_OP[setting.photon_axis]) / 2
-            out.append(np.kron(pi, pp))
-    projs = np.array(out)
-    projs.flags.writeable = False
-    return projs
-
-
-_PROJECTORS = {s: _build_projectors(s) for s in all_settings()}
+# (I + P) / 2 and (I - P) / 2 for the Paulis of AXES: [axis, sign] (3, 2, 2, 2).
+_AXIS_PROJECTORS = (np.eye(2) + np.array([1, -1])[:, None, None] * PAULIS[[3, 1, 2], None]) / 2
+# The grid's projectors as one read-only (9, 4, 4, 4) stack, settings in
+# all_settings() order, outcomes ++, +-, -+, --; and per setting.
+_GRID = kron(_AXIS_PROJECTORS[:, None, :, None],
+             _AXIS_PROJECTORS[None, :, None, :]).reshape(9, 4, 4, 4)
+_GRID.flags.writeable = False
+_PROJECTORS = dict(zip(all_settings(), _GRID))
 
 
 def setting_projectors(setting: MeasurementSetting) -> np.ndarray:
@@ -136,19 +131,23 @@ def simulate_tomography(rho: DensityMatrix, shots_per_setting, snr: float | None
 
     ``shots_per_setting`` is an int applied to every setting or a mapping from
     (ion_axis, photon_axis) to shots.  The dark-noise admixture is applied
-    once, and the draws match per-setting simulate_counts calls on the same
-    generator.
+    once, all 36 outcome probabilities come from one contraction and all 9
+    settings from one multinomial call; the draws match per-setting
+    simulate_counts calls on the same generator.
     """
+    settings = all_settings()
+    if isinstance(shots_per_setting, dict):
+        shots = [shots_per_setting[(s.ion_axis, s.photon_axis)] for s in settings]
+    else:
+        shots = [int(shots_per_setting)] * len(settings)
+    if min(shots) <= 0:
+        raise ValueError("shots must be positive")
     rng = as_rng(rng_seed)
     state = _with_dark_noise(rho, snr)
-    records = []
-    for setting in all_settings():
-        if isinstance(shots_per_setting, dict):
-            shots = shots_per_setting[(setting.ion_axis, setting.photon_axis)]
-        else:
-            shots = int(shots_per_setting)
-        records.append(simulate_counts(state, setting, shots, None, rng))
-    return records
+    p = np.clip(np.real(np.einsum("snij,ji->sn", _GRID, state.matrix)), 0.0, None)
+    counts = rng.multinomial(shots, p / p.sum(axis=1, keepdims=True))
+    return [CountRecord(setting=s, counts=tuple(int(c) for c in row), shots=n)
+            for s, row, n in zip(settings, counts, shots)]
 
 
 def split_heralds(total: int, n_settings: int = 9) -> list[int]:
@@ -164,8 +163,7 @@ _SETTING_INDEX = {(s.ion_axis, s.photon_axis): k for k, s in enumerate(all_setti
 # Design matrix of the grid: row 4 k + o holds outcome o of setting k, laid
 # out so that (_DESIGN @ rho.ravel()).real are the 36 outcome probabilities
 # (tr(P rho) = sum_ij P_ji rho_ij).
-_DESIGN = (np.concatenate([setting_projectors(s) for s in all_settings()])
-           .transpose(0, 2, 1).reshape(36, 16))
+_DESIGN = _GRID.transpose(0, 1, 3, 2).reshape(36, 16)
 _DESIGN_PINV = np.linalg.pinv(_DESIGN)
 # A lower-triangular T as 16 reals: the real parts of the entries on and below
 # the diagonal, then the imaginary parts of those below it (flat indices).
@@ -386,41 +384,34 @@ def chsh(rho: DensityMatrix, s: ChshSettings) -> float:
     """S = <A0 B0> + <A0 B1> + <A1 B0> - <A1 B1>."""
     total = 0.0
     for a, b, sign in s.pairs():
-        joint = Observable(np.kron(a.matrix, b.matrix))
+        joint = Observable(kron(a.matrix, b.matrix))
         total += sign * expectation(rho, joint)
     return total
 
 
 def simulate_chsh(rho: DensityMatrix, s: ChshSettings, shots_total: int,
                   snr: float | None, rng_seed) -> tuple[float, float]:
-    """Sampled CHSH value and its standard error, shots split over 4 settings."""
+    """Sampled CHSH value and its standard error, shots split over 4 settings.
+
+    Outcome 2 i + j of a setting (A, B) projects on column 2 i + j of
+    kron(va, vb), va[:, i] (x) vb[:, j], and has value sign(wa_i) sign(wb_j).
+    """
     rng = as_rng(rng_seed)
     shots_each = split_heralds(shots_total, 4)
-    state = _with_dark_noise(rho, snr)
+    state = _with_dark_noise(rho, snr).matrix
+    eigen = {id(o): np.linalg.eigh(o.matrix) for o in (s.a0, s.a1, s.b0, s.b1)}  # once each
     total, var = 0.0, 0.0
     for (a, b, sign), shots in zip(s.pairs(), shots_each):
         if shots <= 0:
             raise ValueError("need at least one shot per CHSH setting")
-        probs, values = _joint_outcome_table(state, a, b)
-        counts = rng.multinomial(shots, probs)
-        e = float(counts @ values) / shots
+        (wa, va), (wb, vb) = eigen[id(a)], eigen[id(b)]
+        u = kron(va, vb)
+        probs = np.clip(np.einsum("ij,ik,kj->j", u.conj(), state, u).real, 0, None)
+        counts = rng.multinomial(shots, probs / probs.sum())
+        e = float(counts @ np.outer(np.sign(wa), np.sign(wb)).ravel()) / shots
         total += sign * e
         var += (1 - e * e) / shots
     return total, math.sqrt(var)
-
-
-def _joint_outcome_table(state: DensityMatrix, a: Observable, b: Observable):
-    wa, va = np.linalg.eigh(a.matrix)
-    wb, vb = np.linalg.eigh(b.matrix)
-    probs, values = [], []
-    for i in range(2):
-        pa = np.outer(va[:, i], va[:, i].conj())
-        for j in range(2):
-            pb = np.outer(vb[:, j], vb[:, j].conj())
-            probs.append(float(np.real(np.trace(np.kron(pa, pb) @ state.matrix))))
-            values.append(float(np.sign(wa[i]) * np.sign(wb[j])))
-    probs = np.clip(np.array(probs), 0, None)
-    return probs / probs.sum(), np.array(values)
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +436,13 @@ def bootstrap_uncertainty(records: list[CountRecord], n_resamples: int,
     settings = chsh_settings or ChshSettings.optimal()
     target = bell_state(0.0)
     rng = as_rng(rng_seed)
+    shots = [int(round(r.shots)) for r in records]
+    freqs = np.array([r.frequencies() for r in records])
     estimates = np.empty(n_resamples)
     for i in range(n_resamples):
-        resampled = []
-        for r in records:
-            counts = rng.multinomial(int(round(r.shots)), r.frequencies())
-            resampled.append(CountRecord(setting=r.setting,
-                                         counts=tuple(int(c) for c in counts),
-                                         shots=int(round(r.shots))))
-        rho = mle_reconstruct(resampled)
+        draws = rng.multinomial(shots, freqs)  # row k as one call for record k draws it
+        rho = mle_reconstruct([CountRecord(r.setting, tuple(int(c) for c in row), n)
+                               for r, row, n in zip(records, draws, shots)])
         if statistic == "fidelity":
             estimates[i] = fidelity(rho, target)
         else:

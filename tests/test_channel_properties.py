@@ -1,6 +1,9 @@
-"""Channel invariants of the analytic pipeline: the stacked Kraus product
-against the per-operator sum, and CPTP / PSD properties over the pipeline
-rates that load-time validation accepts."""
+"""Channel invariants of the analytic pipeline: each builder's Kraus stack
+and the stacked Kraus product against the per-operator formulas, and CPTP /
+PSD properties over the pipeline rates that load-time validation accepts."""
+
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,14 +12,19 @@ from hypothesis import strategies as st
 
 from hqlink.config import ConfigError, ExperimentConfig
 from hqlink.ion import emit_entangled_state
+from hqlink.memory import storage_channel, storage_residual_channel
+from hqlink.photon import KRAUS_FLOOR, ProcessMatrix, depolarizing_chi, process_matrix_channel
 from hqlink.qstate import (
     CPTP_TOL,
+    PAULIS,
     DensityMatrix,
+    QuantumChannel,
     apply_channel,
     bitflip_channel,
     dephasing_channel,
     depolarizing_channel,
     identity_channel,
+    kron,
     white_noise_channel,
 )
 from hqlink.scenarios import analytic_pipeline_state, pipeline_channels
@@ -42,6 +50,107 @@ def assert_bitwise_equal(rho: DensityMatrix, ch):
     ours, ref = apply_channel(rho, ch), kraus_sum(rho, ch)
     assert ours.matrix.tobytes() == ref.matrix.tobytes()
     assert ours.subnormalized == ref.subnormalized
+
+
+I2, X, Z = PAULIS[0], PAULIS[1], PAULIS[3]
+I4 = np.eye(4, dtype=complex)
+
+
+def lift(op, subsystem):
+    return np.kron(op, I2) if subsystem == 0 else np.kron(I2, op)
+
+
+# Each builder's Kraus operators, one at a time, by the per-operator formulas
+# that the stacked builders replaced.
+def depolarizing_ops(p, dim):
+    paulis = list(PAULIS) if dim == 2 else [np.kron(a, b) for a in PAULIS for b in PAULIS]
+    n = len(paulis)
+    return ([np.sqrt(1 - p * (n - 1) / n) * paulis[0]]
+            + [np.sqrt(p / n) * P for P in paulis[1:]])
+
+
+def process_matrix_ops(chi):
+    w, v = np.linalg.eigh(chi.chi)
+    return [math.sqrt(w[i]) * sum(v[m, i] * PAULIS[m] for m in range(4))
+            for i in range(4) if w[i] > KRAUS_FLOOR]
+
+
+def dephasing_ops(coherence, subsystem):
+    z = Z if subsystem is None else lift(Z, subsystem)
+    eye = np.eye(z.shape[0], dtype=complex)
+    return [np.sqrt((1 + coherence) / 2) * eye, np.sqrt((1 - coherence) / 2) * z]
+
+
+def bitflip_ops(prob, subsystem):
+    x = X if subsystem is None else lift(X, subsystem)
+    eye = np.eye(x.shape[0], dtype=complex)
+    return [np.sqrt(1 - prob) * eye, np.sqrt(prob) * x]
+
+
+def assert_stack_equals(ch, ops):
+    k = ch.kraus_ops
+    assert k.dtype == complex and k.shape == (len(ops),) + ops[0].shape
+    assert not k.flags.writeable
+    assert k.tobytes() == np.array(ops).tobytes()  # signed zeros included
+
+
+def rank_one_chi(rng) -> ProcessMatrix:
+    """The chi of a random unitary, sum_m c_m P_m with c_m = tr(P_m U) / 2."""
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    c = np.einsum("mab,ba->m", PAULIS, q) / 2
+    return ProcessMatrix(np.outer(c, c.conj()))
+
+
+class TestKrausStackBuilders:
+    RATES = (0.0, 1e-12, 0.05, 1 / 3, 0.75, 1.0)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_depolarizing(self, dim):
+        rng = np.random.default_rng(dim)
+        for p in self.RATES + tuple(rng.uniform(size=20)):
+            assert_stack_equals(depolarizing_channel(p, dim), depolarizing_ops(p, dim))
+
+    def test_white_noise(self):
+        for eps in (0.0, 0.017, 0.5, 0.75):
+            assert_stack_equals(white_noise_channel(eps), depolarizing_ops(eps / 0.75, 4))
+
+    def test_process_matrix_on_depolarizing_chi(self):
+        for f in self.RATES + (2.1e-10, 0.92):
+            chi = depolarizing_chi(f)
+            ops = process_matrix_ops(chi)
+            assert_stack_equals(process_matrix_channel(chi), ops)
+            embedded = QuantumChannel(kron(I2, process_matrix_channel(chi).kraus_ops))
+            assert_stack_equals(embedded, [lift(k, 1) for k in ops])
+
+    def test_rank_one_chi_gives_one_operator(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            chi = rank_one_chi(rng)
+            ops = process_matrix_ops(chi)
+            assert len(ops) == 1
+            assert_stack_equals(process_matrix_channel(chi), ops)
+
+    @pytest.mark.parametrize("subsystem", [None, 0, 1])
+    def test_dephasing_and_bitflip(self, subsystem):
+        for v in self.RATES:
+            assert_stack_equals(dephasing_channel(v, subsystem), dephasing_ops(v, subsystem))
+            assert_stack_equals(bitflip_channel(v, subsystem), bitflip_ops(v, subsystem))
+
+    def test_storage_and_residual(self):
+        for eta_h, eta_v in ((0.0, 1.0), (0.31, 0.27), (sys.float_info.min, 0.5), (1.0, 1.0)):
+            diag = np.diag([math.sqrt(eta_h), math.sqrt(eta_v)]).astype(complex)
+            ch = storage_channel(eta_h, eta_v)
+            assert not ch.trace_preserving
+            assert_stack_equals(ch, [lift(diag, 1)])
+        for eps in (0.0, 0.013, 0.5):
+            assert_stack_equals(storage_residual_channel(eps),
+                                [math.sqrt(1 - eps) * I4, math.sqrt(eps) * lift(Z, 1)])
+
+    @pytest.mark.parametrize("scenario", TOMOGRAPHY_SCENARIOS)
+    def test_pipeline_channels_are_read_only_stacks(self, scenario):
+        for name, ch in pipeline_channels(ExperimentConfig.defaults(scenario), scenario):
+            assert ch.kraus_ops.ndim == 3 and ch.kraus_ops.shape[1:] == (4, 4), name
+            assert not ch.kraus_ops.flags.writeable, name
 
 
 class TestStackedKrausProduct:
@@ -74,9 +183,10 @@ class TestStackedKrausProduct:
 # depolarizing channel can take only up to 3/4 (mixing fully to I/4).
 white_noise_rate = st.floats(0.0, 0.75)
 unit = st.floats(0.0, 1.0)
-# A storage efficiency below ~1e-307 leaves a subnormal herald probability
-# that the post-selection cannot rescale; the tests below pin that failure.
-efficiency = st.just(0.0) | st.floats(1e-300, 1.0)
+# Load-time validation takes a storage efficiency of 0 or one in
+# [sys.float_info.min, 1]: a subnormal one would leave a herald probability
+# that the post-selection cannot rescale.
+efficiency = st.just(0.0) | st.floats(sys.float_info.min, 1.0)
 
 
 @st.composite
@@ -90,7 +200,7 @@ def pipeline_configs(draw):
                     apply_storage_residual=draw(st.booleans()))
     eta_h, eta_v = draw(efficiency), draw(efficiency)
     if eta_h == eta_v == 0.0:
-        eta_v = draw(st.floats(1e-300, 1.0))
+        eta_v = draw(st.floats(sys.float_info.min, 1.0))
     storage = {"eta_internal_h": eta_h, "eta_internal_v": eta_v,
                "residual_infidelity": draw(st.floats(0.0, 0.5))}
     scen = {"decoherence_time_us": draw(st.floats(0.0, 1e4)),
@@ -143,10 +253,20 @@ class TestPipelineChannelProperties:
         assert abs(state.trace - 1.0) <= 1e-14
 
     @pytest.mark.parametrize("eta", [1e-310, 5e-324])
-    def test_subnormal_storage_efficiency_fails_in_the_pipeline(self, eta):
-        # accepted at load, but the herald probability underflows and the
-        # rescale to unit trace overflows
-        cfg = ExperimentConfig.defaults("ti_qm", storage={"eta_internal_h": 0.0,
-                                                          "eta_internal_v": eta})
-        with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
-            analytic_pipeline_state(cfg, "ti_qm")
+    def test_subnormal_storage_efficiency_rejected_at_load(self, eta):
+        # the herald probability would underflow and the rescale to unit
+        # trace overflow, so the value stops at load
+        for key in ("eta_internal_h", "eta_internal_v"):
+            with pytest.raises(ConfigError, match=f"storage.{key}: {eta!r} is subnormal"):
+                ExperimentConfig.defaults("ti_qm", storage={key: eta})
+
+    @pytest.mark.parametrize("eta_h, eta_v", [
+        (0.0, sys.float_info.min), (sys.float_info.min, 0.0),
+        (sys.float_info.min, sys.float_info.min)])
+    def test_smallest_normal_storage_efficiency_builds(self, eta_h, eta_v):
+        for scenario in ("ti_qm", "chsh"):
+            cfg = ExperimentConfig.defaults(scenario, storage={"eta_internal_h": eta_h,
+                                                               "eta_internal_v": eta_v})
+            state, herald_prob, _ = analytic_pipeline_state(cfg, scenario)
+            assert abs(state.trace - 1.0) <= 1e-10
+            assert 0.0 < herald_prob <= sys.float_info.min

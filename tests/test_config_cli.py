@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -265,9 +266,22 @@ class TestCli:
         ("ti_qm", {"jitter": {"transceiver_rms_ns": float("inf")}},
          "jitter: transceiver_rms_ns must be a finite number"),
         ("ti_qm", {"pipeline": {"spam_error": 0.8}}, "pipeline.spam_error"),
+        # a subnormal storage efficiency underflows the herald probability
+        ("budget", {"storage": {"eta_internal_h": 0.0, "eta_internal_v": 5e-324}},
+         "storage.eta_internal_v: 5e-324 is subnormal"),
+        ("chsh", {"storage": {"eta_internal_h": math.nextafter(sys.float_info.min, 0)}},
+         "storage.eta_internal_h: 2.225073858507201e-308 is subnormal"),
     ])
     def test_bad_value_exit_two(self, scenario, config, field, tmp_path, capsys):
         _assert_exit_two(tmp_path, capsys, scenario, config, field)
+
+    def test_smallest_normal_storage_efficiency_runs(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"storage": {"eta_internal_h": 0.0, "eta_internal_v": sys.float_info.min}}))
+        assert cli.main(["--config", str(cfg_path), "--scenario", "chsh",
+                         "--out", str(tmp_path / "out")]) == 0
+        assert "chsh_analytic" in capsys.readouterr().out
 
     @pytest.mark.parametrize("scenario, config, field", [
         ("bandwidth_sweep", {"scenarios": {"bandwidth_sweep": {"points": 0}}},
@@ -310,20 +324,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(exc) in err
         assert "Traceback" not in err
-
-    @pytest.mark.parametrize("config, message", [
-        # load-time checks accept this; the pipeline cannot build it
-        ({"storage": {"eta_internal_h": 0.0, "eta_internal_v": 5e-324}},
-         "zero-trace state"),
-    ])
-    def test_pipeline_value_error_exit_two(self, config, message, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config))
-        assert cli.main(["--config", str(cfg_path), "--scenario", "budget",
-                         "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("scenario, seed, out, shots", itertools.product(
         (None, "ti_qm", "chsh", "budget"), (None, 0, 11), (None, "elsewhere"), (None, 120)))

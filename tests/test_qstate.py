@@ -79,6 +79,27 @@ class TestKron:
         zeros = a.real == 0.0
         assert np.signbit(a.real[zeros]).any() and not np.signbit(a.real[zeros]).all()
 
+    def test_stacks_broadcast_over_leading_axes(self):
+        rng = np.random.default_rng(41)
+        a, b = signed_zero_matrix(rng, 2), np.array([signed_zero_matrix(rng, 2)
+                                                     for _ in range(3)])
+        stacked = kron(a, b)
+        assert stacked.shape == (3, 4, 4)
+        for ours, bk in zip(stacked, b):
+            assert ours.tobytes() == np.kron(a, bk).tobytes()
+        grid = kron(b[:, None], b)
+        assert grid.shape == (3, 3, 4, 4)
+        for i, j in np.ndindex(3, 3):
+            assert grid[i, j].tobytes() == np.kron(b[i], b[j]).tobytes()
+
+    def test_paulis_are_one_read_only_stack(self):
+        reference = [np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex),
+                     np.array([[0, -1j], [1j, 0]], dtype=complex),
+                     np.array([[1, 0], [0, -1]], dtype=complex)]
+        assert PAULIS.shape == (4, 2, 2) and PAULIS_2Q.shape == (16, 4, 4)
+        assert PAULIS.tobytes() == np.array(reference).tobytes()
+        assert not PAULIS.flags.writeable and not PAULIS_2Q.flags.writeable
+
     def test_two_qubit_paulis_are_built_once_read_only(self):
         reference = [np.kron(a, b) for a in PAULIS for b in PAULIS]
         assert len(PAULIS_2Q) == 16
@@ -242,6 +263,44 @@ class TestValidation:
     def test_heralded_channel_must_stay_below_identity(self):
         with pytest.raises(StateError):
             QuantumChannel((np.eye(2, dtype=complex) * 1.1,), trace_preserving=False)
+
+    @pytest.mark.parametrize("ops, message", [
+        ((), "channel needs at least one Kraus operator"),
+        (np.zeros((0, 2, 2)), "channel needs at least one Kraus operator"),
+        ((np.eye(2), np.eye(4)), "Kraus operators must share one dimension"),
+        ([np.eye(2), np.zeros((2, 3))], r"expected a square matrix, got shape \(2, 3\)"),
+        (np.ones((1, 2, 3)), r"expected a square matrix, got shape \(2, 3\)"),
+        ((np.eye(8),), "dimension 8 exceeds the two-qubit limit"),
+        (np.eye(8)[None], "dimension 8 exceeds the two-qubit limit"),
+    ], ids=["empty", "empty-array", "ragged", "non-square", "non-square-array", "over-4",
+            "over-4-array"])
+    def test_bad_kraus_shapes_rejected_before_stacking(self, ops, message):
+        # np.array alone raises a bare ValueError on ragged operators
+        with pytest.raises(StateError, match=message):
+            QuantumChannel(ops)
+
+
+class TestKrausStack:
+    @pytest.mark.parametrize("ops", [
+        (np.eye(2), np.zeros((2, 2))),
+        [np.eye(4, dtype=complex)],
+        np.array([np.eye(2) / np.sqrt(2), X / np.sqrt(2)]),
+    ])
+    def test_one_read_only_complex_stack(self, ops):
+        ch = QuantumChannel(ops)
+        assert isinstance(ch.kraus_ops, np.ndarray)
+        assert ch.kraus_ops.dtype == complex
+        assert ch.kraus_ops.shape == (len(ops),) + np.shape(ops[0])
+        assert ch.dim == np.shape(ops[0])[0]
+        with pytest.raises(ValueError):
+            ch.kraus_ops[0, 0, 0] = 2.0
+        assert ch.kraus_ops.tobytes() == np.array(ops, dtype=complex).tobytes()
+
+    def test_input_array_is_copied_not_frozen(self):
+        ops = np.array([np.eye(2, dtype=complex)])
+        ch = QuantumChannel(ops)
+        ops[0, 0, 0] = 5.0
+        assert ops.flags.writeable and ch.kraus_ops[0, 0, 0] == 1.0
 
 
 class TestSerialization:

@@ -15,12 +15,13 @@ from hqlink.qstate import (
     DensityMatrix,
     Observable,
     bell_state,
+    expectation,
     fidelity,
     maximally_mixed,
     trace_distance,
     werner,
 )
-from hqlink.rng import child_rng
+from hqlink.rng import as_rng, child_rng
 from hqlink.scenarios import analytic_pipeline_state
 from hqlink.tomography import (
     ChshSettings,
@@ -35,6 +36,7 @@ from hqlink.tomography import (
     records_from_probabilities,
     records_to_csv,
     setting_projectors,
+    simulate_chsh,
     simulate_counts,
     simulate_tomography,
     split_heralds,
@@ -93,6 +95,25 @@ class TestSimulateCounts:
             rng = child_rng(seed, "x")
             one_by_one = [simulate_counts(rho, s, 198, 28.0, rng) for s in all_settings()]
             assert grid == one_by_one
+
+    def test_grid_draws_match_per_setting_draws_for_uneven_shots(self):
+        rng = np.random.default_rng(47)
+        shots = {(s.ion_axis, s.photon_axis): n
+                 for s, n in zip(all_settings(), split_heralds(1780))}
+        for seed in range(20):
+            rho = random_state(rng)
+            grid = simulate_tomography(rho, shots, 28.0, child_rng(seed, "u"))
+            stream = child_rng(seed, "u")
+            state = dark_noise_admixture(rho, 28.0)
+            one_by_one = [simulate_counts(state, s, shots[(s.ion_axis, s.photon_axis)],
+                                          None, stream) for s in all_settings()]
+            assert grid == one_by_one
+
+    @pytest.mark.parametrize("shots", [0, -3, {(a, b): 0 if (a, b) == ("Y", "X") else 5
+                                               for a in "ZXY" for b in "ZXY"}])
+    def test_grid_needs_positive_shots(self, shots):
+        with pytest.raises(ValueError, match="shots must be positive"):
+            simulate_tomography(werner(0.9), shots, None, 1)
 
     def test_projectors_are_shared_and_read_only(self):
         projs = setting_projectors(MeasurementSetting("X", "Y"))
@@ -282,6 +303,75 @@ class TestChsh:
             a0, a1, b0, b1 = (((bits >> k) & 1) * 2 - 1 for k in range(4))
             s = a0 * b0 + a0 * b1 + a1 * b0 - a1 * b1
             assert abs(s) <= 2
+
+
+def chsh_oracle(rho, s):
+    """chsh() with one np.kron observable per setting."""
+    total = 0.0
+    for a, b, sign in s.pairs():
+        total += sign * expectation(rho, Observable(np.kron(a.matrix, b.matrix)))
+    return total
+
+
+def simulate_chsh_oracle(rho, s, shots_total, snr, rng_seed):
+    """simulate_chsh with a per-outcome table of np.kron projectors, each
+    observable eigendecomposed per setting."""
+    rng = as_rng(rng_seed)
+    state = rho if snr is None else dark_noise_admixture(rho, snr)
+    total, var = 0.0, 0.0
+    for (a, b, sign), shots in zip(s.pairs(), split_heralds(shots_total, 4)):
+        wa, va = np.linalg.eigh(a.matrix)
+        wb, vb = np.linalg.eigh(b.matrix)
+        probs, values = [], []
+        for i in range(2):
+            pa = np.outer(va[:, i], va[:, i].conj())
+            for j in range(2):
+                pb = np.outer(vb[:, j], vb[:, j].conj())
+                probs.append(float(np.real(np.trace(np.kron(pa, pb) @ state.matrix))))
+                values.append(float(np.sign(wa[i]) * np.sign(wb[j])))
+        probs = np.clip(np.array(probs), 0, None)
+        counts = rng.multinomial(shots, probs / probs.sum())
+        e = float(counts @ np.array(values)) / shots
+        total += sign * e
+        var += (1 - e * e) / shots
+    return total, math.sqrt(var)
+
+
+class TestChshTables:
+    @staticmethod
+    def states():
+        rng = np.random.default_rng(53)
+        pipeline = analytic_pipeline_state(ExperimentConfig.defaults("chsh"), "chsh")[0]
+        return [pipeline, bell_state(0.0).density(), werner(0.8), random_state(rng)]
+
+    @pytest.mark.parametrize("which", ["optimal", "paper_stated", "random"])
+    def test_sampled_and_exact_values_match_the_kron_tables(self, which):
+        rng = np.random.default_rng(59)
+        for rho in self.states():
+            for seed in range(5):
+                if which == "random":
+                    s = ChshSettings.from_angles(*rng.uniform(-math.pi, math.pi, size=4))
+                else:
+                    s = getattr(ChshSettings, which)()
+                assert chsh(rho, s) == chsh_oracle(rho, s)
+                for snr in (None, 28.0):
+                    assert (simulate_chsh(rho, s, 4000, snr, child_rng(seed, "chsh"))
+                            == simulate_chsh_oracle(rho, s, 4000, snr,
+                                                    child_rng(seed, "chsh")))
+
+    def test_general_observables_match_the_kron_tables(self):
+        rng = np.random.default_rng(61)
+        for seed in range(20):
+            s = ChshSettings(random_pm1_observable(rng), random_pm1_observable(rng),
+                             random_pm1_observable(rng), random_pm1_observable(rng))
+            rho = random_state(rng)
+            assert chsh(rho, s) == chsh_oracle(rho, s)
+            assert simulate_chsh(rho, s, 999, 28.0, seed) == simulate_chsh_oracle(
+                rho, s, 999, 28.0, seed)
+
+    def test_needs_a_shot_per_setting(self):
+        with pytest.raises(ValueError, match="need at least one shot per CHSH setting"):
+            simulate_chsh(werner(0.9), ChshSettings.optimal(), 3, None, 1)
 
 
 class TestBootstrap:
