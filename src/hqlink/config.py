@@ -384,7 +384,7 @@ def pump_inputs(cfg: ExperimentConfig):
     strengths = {tuple(k.split(":")): v for k, v in sec["strengths"].items()}
     windows = [tuple(w) for w in sec["windows"]]
     return (offsets, windows, tuple(sec["target"]), sec["broadening_mhz"],
-            strengths, dict(sec["native_d"]), sec.get("partial_weight", 0.5))
+            strengths, dict(sec["native_d"]), sec["partial_weight"])
 
 
 def rate_chains(cfg: ExperimentConfig) -> dict:

@@ -9,7 +9,7 @@ heralded polarization storage channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
@@ -144,7 +144,6 @@ class PumpPlan:
     target: Interval
     broadening_mhz: float
     pumped_regions: dict
-    effective_d: dict = field(default_factory=dict)
 
 
 def _merge(intervals: list[Interval]) -> list[Interval]:
@@ -191,46 +190,6 @@ def plan_pump_regions(level_offsets: dict, windows: list[Interval],
                     pumped_regions=regions)
 
 
-def _pumped_levels(transitions: dict, x: float, window: Interval) -> set:
-    lo, hi = window
-    out = set()
-    for (ground, _), offset in transitions.items():
-        if lo <= offset + x <= hi:
-            out.add(ground)
-    return out
-
-
-def _population_after_sequence(transitions: dict, x: float, windows: list[Interval],
-                               absorbing: set, partial_weight: float) -> dict:
-    """Three-level populations at detuning x after the pump windows run in order.
-
-    Each window empties the levels it addresses into the levels it does not;
-    a window addressing all levels leaves the uniform mixture.  When a donor
-    splits between two sinks and exactly one of them absorbs in the target
-    band, that sink receives ``partial_weight`` of the moved population.
-    """
-    levels = sorted({g for g, _ in transitions})
-    pop = {g: 1.0 / len(levels) for g in levels}
-    for w in windows:
-        pumped = _pumped_levels(transitions, x, w)
-        dark = [g for g in levels if g not in pumped]
-        if not dark:
-            pop = {g: 1.0 / len(levels) for g in levels}
-            continue
-        moved = sum(pop[g] for g in pumped)
-        for g in pumped:
-            pop[g] = 0.0
-        dark_absorbing = [g for g in dark if g in absorbing]
-        if len(dark) == 2 and len(dark_absorbing) == 1:
-            pop[dark_absorbing[0]] += moved * partial_weight
-            other = dark[0] if dark[1] == dark_absorbing[0] else dark[1]
-            pop[other] += moved * (1 - partial_weight)
-        else:
-            for g in dark:
-                pop[g] += moved / len(dark)
-    return pop
-
-
 def effective_depth(plan: PumpPlan, native_d: float, strengths: dict,
                     include_transmission_pump: bool = True,
                     partial_weight: float = 0.5) -> float:
@@ -246,10 +205,11 @@ def effective_depth(plan: PumpPlan, native_d: float, strengths: dict,
         d = native_d * sum_k s_k <p_{g_k}>_k / sum_k (s_k / n_levels),
         <p_g>_k = (1 / (hi - lo)) * integral_lo^hi p_g(f - T_k) df.
 
-    p_g(f - T_k) only changes where f - T_k + T_t crosses an edge of a window
-    or of the target band, so each band average is an exact sum over the
-    sub-intervals between those points, each weighted by its length and
-    evaluated at its midpoint.
+    A window empties the levels it addresses into the dark ones: evenly, or
+    ``partial_weight`` to the absorbing one when exactly one of two dark
+    levels absorbs in the band.  One addressing every level leaves the uniform
+    mixture.  p_g(f - T_k) only changes where f - T_k + T_t crosses a window or
+    band edge, so each band average is an exact length-weighted midpoint sum.
     """
     if native_d < 0:
         raise ValueError("native depth must be nonnegative")
@@ -258,29 +218,44 @@ def effective_depth(plan: PumpPlan, native_d: float, strengths: dict,
         return native_d
     if include_transmission_pump:
         windows = [plan.target] + windows
-    n_levels = len({g for g, _ in plan.transitions})
-    lo, hi = plan.target
-    edges = {e for w in (*windows, plan.target) for e in w}
-    post = 0.0
-    native = 0.0
-    for key, s in strengths.items():
+    for key in strengths:
         if key not in plan.transitions:
             raise ValueError(f"strength given for unknown transition {key}")
-        offset = plan.transitions[key]
-        points = {e + offset - t for e in edges for t in plan.transitions.values()}
-        cuts = sorted({lo, hi} | {f for f in points if lo < f < hi})
-        acc = 0.0
-        for a, b in zip(cuts, cuts[1:]):
-            x = (a + b) / 2 - offset
-            absorbing = _pumped_levels(plan.transitions, x, plan.target)
-            pop = _population_after_sequence(plan.transitions, x, windows, absorbing,
-                                             partial_weight)
-            acc += (b - a) * pop[key[0]]
+    levels = sorted({g for g, _ in plan.transitions})
+    lo, hi = plan.target
+    offsets = np.array(list(plan.transitions.values()), dtype=float)
+    own = np.array([plan.transitions[key] for key in strengths], dtype=float)
+    # every cut e + T_k - T_t of each band average, one row per strength; cuts
+    # outside the band clip onto lo or hi (the +-inf edges put both in every
+    # row), and the zero-width pieces that leaves drop out
+    edges = np.array([-np.inf, np.inf, *{e for w in (*windows, plan.target) for e in w}])
+    cuts = np.clip(edges[:, None] + own[:, None, None] - offsets, lo, hi)
+    cuts = np.sort(cuts.reshape(len(own), edges.size * offsets.size), axis=1)
+    width = np.diff(cuts, axis=1)
+    keep = width > 0
+    x = ((cuts[:, :-1] + cuts[:, 1:]) / 2 - own[:, None])[keep]
+    freq = offsets[:, None] + x
+    hit = np.array([(a <= freq) & (freq <= b) for a, b in (plan.target, *windows)])
+    ground = np.array([[g == level for g, _ in plan.transitions] for level in levels])
+    absorbing, *addressed = ground @ hit  # (n_levels, n_points) per band
+    pop = np.full(absorbing.shape, 1.0 / len(levels))
+    for pumped in addressed:
+        dark = ~pumped
+        n_dark = dark.sum(0)
+        moved = np.where(pumped, pop, 0.0).sum(0)
+        split = (n_dark == 2) & ((dark & absorbing).sum(0) == 1)
+        gain = np.where(split, moved * np.where(absorbing, partial_weight, 1 - partial_weight),
+                        moved / np.maximum(n_dark, 1))
+        pop = np.where(n_dark == 0, 1.0 / len(levels), np.where(dark, pop + gain, 0.0))
+    # dropped pieces stay zeros, so the running sum adds a row's pieces in order
+    own_level = np.array([levels.index(g) for g, _ in strengths], dtype=int)
+    terms = np.zeros(width.shape)
+    terms[keep] = width[keep] * pop[own_level[keep.nonzero()[0]], np.arange(x.size)]
+    post = native = 0.0
+    for s, acc in zip(strengths.values(), np.cumsum(terms, axis=1)[:, -1].tolist()):
         post += s * acc / (hi - lo)
-        native += s / n_levels
-    if native == 0:
-        return 0.0
-    return native_d * post / native
+        native += s / len(levels)
+    return native_d * post / native if native else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,15 @@ class TestEffectiveDepth:
         plan = plan_pump_regions(OFFSETS, WINDOWS, TARGET, SPAN)
         assert effective_depth(plan, 4.66, STRENGTHS) == pytest.approx(9.0, abs=0.5)
 
+    @pytest.mark.parametrize("native_d, transmission, expected", [
+        (5.24, True, "0x1.4feb3f3705defp+3"),   # H, 10.497
+        (4.66, True, "0x1.2abcb066ac4e1p+3"),   # V, 9.336
+        (5.24, False, "0x1.4feb3f3705defp+3"),  # H without the transmission pump
+    ])
+    def test_paper_plan_bit_for_bit(self, native_d, transmission, expected):
+        plan = plan_pump_regions(OFFSETS, WINDOWS, TARGET, SPAN)
+        assert effective_depth(plan, native_d, STRENGTHS, transmission).hex() == expected
+
     def test_all_population_removed(self):
         # far-detuned enhancement windows refill nothing: the transmission
         # pump empties the band and the depth collapses
@@ -181,6 +190,42 @@ class TestEffectiveDepth:
         plan = plan_pump_regions(OFFSETS, WINDOWS, TARGET, SPAN)
         with pytest.raises(ValueError):
             effective_depth(plan, 5.24, {("x", "y"): 1.0})
+
+
+# Three ground levels a, b, c at 0, 100, 200 MHz, each with excited levels e1
+# (+0) and e2 (+400); the target band (0, 10) sees only (a, e1) and
+# (a, e1) is the one weighted transition.  Over its band average x = f runs
+# through [0, 10] and no cut falls inside, so one population settles the
+# depth: d = native_d * p_a / (1/3), with a the only level absorbing.
+TOY_OFFSETS = {(g, e): tg + te for g, tg in (("a", 0.0), ("b", 100.0), ("c", 200.0))
+               for e, te in (("e1", 0.0), ("e2", 400.0))}
+TOY_TARGET = (0.0, 10.0)
+TOY_STRENGTHS = {("a", "e1"): 1.0}
+
+
+class TestEffectiveDepthToyPlan:
+    def test_two_dark_levels_one_absorbing_split_by_partial_weight(self):
+        # The transmission pump addresses a only and shares it evenly: (0, 1/2, 1/2).
+        # The window (95, 115) addresses b only through (b, e1) at 100 + x; of the
+        # dark a and c only a absorbs, so a gets w * 1/2 and c (1 - w) * 1/2:
+        # d = 2 * (0.3 / 2) * 3 = 0.9, where an even split would give 1.5.
+        plan = plan_pump_regions(TOY_OFFSETS, [(95.0, 115.0)], TOY_TARGET, 1000.0)
+        assert effective_depth(plan, 2.0, TOY_STRENGTHS, partial_weight=0.3) == \
+            pytest.approx(0.9, rel=1e-12)
+
+    def test_window_addressing_every_level_resets_to_uniform(self):
+        # The transmission pump leaves (0, 1/2, 1/2).  The window (300, 700)
+        # addresses a, b and c through the e2 lines at 400, 500 and 600 + x, so
+        # no level is dark and the populations reset to 1/3: d = native_d = 2.
+        plan = plan_pump_regions(TOY_OFFSETS, [(300.0, 700.0)], TOY_TARGET, 1000.0)
+        assert effective_depth(plan, 2.0, TOY_STRENGTHS, partial_weight=0.3) == \
+            pytest.approx(2.0, rel=1e-12)
+        # the sequence goes on from the uniform mixture: (95, 115) then moves
+        # b's 1/3 and a gets w / 3, so d = 2 * (1/3 + 0.1) * 3 = 2.6
+        plan = plan_pump_regions(TOY_OFFSETS, [(300.0, 700.0), (95.0, 115.0)], TOY_TARGET,
+                                 1000.0)
+        assert effective_depth(plan, 2.0, TOY_STRENGTHS, partial_weight=0.3) == \
+            pytest.approx(2.6, rel=1e-12)
 
 
 class TestStorageChannel:
