@@ -36,7 +36,6 @@ from .memory import (
 )
 from .photon import (
     JitterParams,
-    NoiseParams,
     ProcessMatrix,
     dark_noise_admixture,
     jitter_dephasing_channel,

@@ -19,7 +19,7 @@ from pathlib import Path
 from .budget import EfficiencyStage, ErrorSource, RateChain
 from .ion import IonParams, decoherence_infidelity
 from .memory import CombParams, SpectralModel
-from .photon import JitterParams, NoiseParams, jitter_infidelity
+from .photon import JitterParams, jitter_infidelity
 
 SCENARIOS = ("ion_photon", "post_qfc", "ti_qm", "chsh", "budget", "afc_sweep",
              "bandwidth_sweep")
@@ -116,7 +116,6 @@ def default_config_dict() -> dict:
             "spam_error": 0.007,
             "mw_rotation_error": 0.001,
             "pi_collection_error": 0.005,
-            "apply_storage_residual": True,
             "bootstrap_resamples": 200,
         },
         "scenarios": {
@@ -130,6 +129,119 @@ def default_config_dict() -> dict:
     }
 
 
+_NUMBER = (int, float)
+
+
+def _finite_number(v) -> bool:
+    return isinstance(v, _NUMBER) and not isinstance(v, bool) and -math.inf < v < math.inf
+
+
+def _interval(v) -> bool:
+    return (isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_finite_number, v))
+            and v[0] < v[1])
+
+
+def _closed(lo, hi):
+    return f"a number in [{lo}, {hi}]", lambda v: isinstance(v, _NUMBER) and lo <= v <= hi
+
+
+def _above(lo):  # infinity passes
+    return f"a number > {lo}", lambda v: isinstance(v, _NUMBER) and v > lo
+
+
+def _integer_from(least):
+    return f"an integer >= {least}", lambda v: isinstance(v, int) and v >= least
+
+
+_FINITE = ("a finite number", _finite_number)
+_FINITE_NONNEGATIVE = ("a finite number >= 0",
+                       lambda v: isinstance(v, _NUMBER) and 0 <= v < math.inf)
+_POSITIVE_FINITE = ("a positive finite number",
+                    lambda v: isinstance(v, _NUMBER) and 0 < v < math.inf)
+# a rate-chain stage, as EfficiencyStage takes it
+_STAGE_EFFICIENCY = ("a number in (0, 1]", lambda v: isinstance(v, _NUMBER) and 0 < v <= 1)
+# a white-noise rate costs a Bell state its own value of fidelity, which a
+# depolarizing channel reaches only up to 3/4 (mixing fully to I/4)
+_WHITE_NOISE_RATE = _closed(0, 0.75)
+# The one rule of each config field: what the value must be, and its test.
+# No field takes a boolean, so the check rejects true and false before any
+# test, and a test may read an int as a number; NaN fails every bound.  ``*``
+# stands for any one key, and a label added to a label map takes its ``*``.
+FIELD_RULES = {
+    "scenario": (f"one of {SCENARIOS}", lambda v: v in SCENARIOS),
+    "master_seed": _integer_from(0),
+    "output_dir": ("a nonempty string", lambda v: isinstance(v, str) and v != ""),
+    "ion.zeeman_frequency_mhz": _FINITE_NONNEGATIVE,
+    "ion.coherence_time_tau_ms": _above(0),  # inf: no decoherence
+    "jitter.*": _FINITE_NONNEGATIVE,
+    "noise.pbs_extinction": _above(1),  # inf: no leakage
+    "comb.d": _POSITIVE_FINITE,
+    "comb.gamma_comb_khz": _POSITIVE_FINITE,
+    "comb.delta_mhz": _POSITIVE_FINITE,
+    "comb.finesse": ("a finite number or null", lambda v: v is None or _finite_number(v)),
+    "spectral.*": _POSITIVE_FINITE,
+    "pump.ground_offsets.*": _FINITE,
+    "pump.excited_offsets.*": _FINITE,
+    "pump.windows": ("a list of [lo, hi] number pairs with lo < hi",
+                     lambda v: isinstance(v, (list, tuple)) and all(map(_interval, v))),
+    "pump.target": ("a [lo, hi] number pair with lo < hi", _interval),
+    "pump.broadening_mhz": _POSITIVE_FINITE,
+    "pump.strengths.*": _FINITE_NONNEGATIVE,
+    "pump.native_d.*": _FINITE_NONNEGATIVE,
+    "pump.partial_weight": _closed(0, 1),
+    "storage.eta_internal_h": _closed(0, 1),
+    "storage.eta_internal_v": _closed(0, 1),
+    "storage.eta_device_h": _STAGE_EFFICIENCY,
+    "storage.eta_device_v": _STAGE_EFFICIENCY,
+    "storage.residual_infidelity": _closed(0, 0.5),
+    "rates.*": _POSITIVE_FINITE,
+    "pipeline.qfc_process_fidelity": _closed(0, 1),
+    "pipeline.decoherence_exponent_a": _closed(1, 3),
+    "pipeline.excitation_error": _WHITE_NOISE_RATE,
+    "pipeline.spam_error": _WHITE_NOISE_RATE,
+    "pipeline.mw_rotation_error": _WHITE_NOISE_RATE,
+    "pipeline.pi_collection_error": _WHITE_NOISE_RATE,
+    "pipeline.bootstrap_resamples": _integer_from(100),
+    # shot budgets: at least one shot per measurement setting
+    "scenarios.*.shots": _integer_from(9),
+    "scenarios.ti_qm.heralds": _integer_from(9),
+    "scenarios.chsh.trials": _integer_from(4),
+    "scenarios.*.snr": _above(0),  # inf: no dark noise
+    "scenarios.*.decoherence_time_us": _FINITE_NONNEGATIVE,
+    "scenarios.*.points": _integer_from(2),
+    "scenarios.afc_sweep.t_start_ns": _FINITE_NONNEGATIVE,
+    "scenarios.afc_sweep.t_stop_ns": _FINITE,
+    "scenarios.bandwidth_sweep.df_start_mhz": _FINITE,
+    "scenarios.bandwidth_sweep.df_stop_mhz": _FINITE,
+}
+
+
+def _rule_pattern(path: str) -> str:
+    """The FIELD_RULES key that matches the dotted ``path``; a field that
+    matches none, or more than one, fails the unpacking."""
+    parts = path.split(".")
+    (pattern,) = [pattern for pattern in FIELD_RULES
+                  if len(keys := pattern.split(".")) == len(parts)
+                  and all(k in ("*", part) for k, part in zip(keys, parts))]
+    return pattern
+
+
+def _section_rules(tree: dict, keys: tuple = ()):
+    """(keys from the root, dotted prefix, {field: rule}, rule of an added
+    label) of every object in the defaults.  Each field's rule is resolved
+    here once; the merge adds no path but labels in label maps."""
+    prefix = "".join(k + "." for k in keys)
+    rules = {key: FIELD_RULES[_rule_pattern(prefix + key)]
+             for key, v in tree.items() if not isinstance(v, dict)}
+    yield keys, prefix, rules, FIELD_RULES.get(prefix + "*")
+    for key, v in tree.items():
+        if isinstance(v, dict):
+            yield from _section_rules(v, keys + (key,))
+
+
+_SECTION_RULES = list(_section_rules(default_config_dict()))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated scenario configuration with typed parameter sections."""
@@ -139,7 +251,6 @@ class ExperimentConfig:
     output_dir: str
     ion: IonParams
     jitter: JitterParams
-    noise: NoiseParams
     comb: CombParams
     spectral: SpectralModel
     raw: dict = field(repr=False, default_factory=dict)
@@ -151,31 +262,25 @@ class ExperimentConfig:
         cfg = default_config_dict()  # a fresh literal on every call
         errors: list[str] = []
         _deep_update(cfg, data, errors)
-
-        scenario = cfg.get("scenario")
-        if scenario not in SCENARIOS:
-            errors.append(f"scenario: {scenario!r} not one of {SCENARIOS}")
-        seed = cfg.get("master_seed")
-        if not _integer(seed) or seed < 0:
-            errors.append(f"master_seed: expected an explicit nonnegative integer, "
-                          f"got {seed!r}")
-        out_dir = cfg.get("output_dir")
-        if not isinstance(out_dir, str) or not out_dir:
-            errors.append(f"output_dir: expected a nonempty string, got {out_dir!r}")
-
-        ion = _build(errors, "ion", _ion_params, cfg)
-        jit = _build(errors, "jitter", _jitter_params, cfg)
-        noise = _build(errors, "noise", lambda c: NoiseParams(**c["noise"]), cfg)
-        comb = _build(errors, "comb", lambda c: CombParams(
-            bandwidth_mhz=c["spectral"]["qm_bandwidth_mhz"], **c["comb"]), cfg)
-        spectral = _build(errors, "spectral", lambda c: SpectralModel(
-            zeeman_split_mhz=c["ion"]["zeeman_frequency_mhz"], **c["spectral"]), cfg)
-        _validate_sections(errors, cfg)
-
+        rejected: set[str] = set()
+        _check_fields(cfg, errors, rejected)
+        _check_spans(errors, cfg, rejected)
+        comb = None
+        # the one dataclass that checks its fields against each other
+        if not any(p.startswith(("comb.", "spectral.qm_bandwidth_mhz")) for p in rejected):
+            try:
+                comb = CombParams(bandwidth_mhz=cfg["spectral"]["qm_bandwidth_mhz"],
+                                  **cfg["comb"])
+            except ValueError as exc:
+                errors.append(f"comb: {exc}")
         if errors:
             raise ConfigError(errors)
-        return cls(scenario=scenario, master_seed=seed, output_dir=out_dir, ion=ion,
-                   jitter=jit, noise=noise, comb=comb, spectral=spectral, raw=cfg)
+        zeeman_mhz = cfg["ion"]["zeeman_frequency_mhz"]
+        omega = 2 * math.pi * zeeman_mhz * 1e6
+        return cls(cfg["scenario"], cfg["master_seed"], cfg["output_dir"],
+                   IonParams(omega, cfg["ion"]["coherence_time_tau_ms"]),
+                   JitterParams(zeeman_omega=omega, **cfg["jitter"]), comb,
+                   SpectralModel(zeeman_split_mhz=zeeman_mhz, **cfg["spectral"]), raw=cfg)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -224,151 +329,43 @@ def _deep_update(base: dict, extra: dict, errors: list | None = None, path: str 
             base[k] = v
 
 
-def _build(errors: list, section: str, fn, cfg: dict):
-    try:
-        return fn(cfg)
-    except (TypeError, ValueError, KeyError) as exc:
-        errors.append(f"{section}: {exc}")
-        return None
+def _check_fields(cfg: dict, errors: list, rejected: set):
+    """Test each field of the merged config against its rule; add the dotted
+    path of each one that fails to ``rejected``."""
+    for keys, prefix, rules, label_rule in _SECTION_RULES:
+        section = cfg
+        for key in keys:  # the merge keeps every section an object
+            section = section[key]
+        for key, v in section.items():
+            rule = rules.get(key, label_rule)  # None: a subsection
+            if rule is not None and (v is True or v is False or not rule[1](v)):
+                errors.append(f"{prefix}{key}: expected {rule[0]}, got {v!r}")
+                rejected.add(f"{prefix}{key}")
 
 
-def _ion_params(cfg: dict) -> IonParams:
-    sec = dict(cfg["ion"])
-    freq = sec.pop("zeeman_frequency_mhz")
-    if not _finite_number(freq) or freq < 0:
-        raise ValueError(f"zeeman_frequency_mhz: expected a finite number >= 0, got {freq!r}")
-    return IonParams(zeeman_omega=2 * math.pi * freq * 1e6, **sec)
-
-
-def _jitter_params(cfg: dict) -> JitterParams:
-    sec = dict(cfg["jitter"])
-    omega = 2 * math.pi * cfg["ion"]["zeeman_frequency_mhz"] * 1e6
-    return JitterParams(zeeman_omega=omega, **sec)
-
-
-def _validate_sections(errors: list, cfg: dict):
-    """Type and range checks; the merge guarantees every default key is present."""
-    for key, v in cfg["rates"].items():
-        if not _finite_number(v) or v <= 0:
-            errors.append(f"rates.{key}: expected a positive finite number, got {v!r}")
-    # closed ranges, as the channel constructors enforce them; a white-noise
-    # rate costs a Bell state its own value of fidelity, which a depolarizing
-    # channel reaches only up to 3/4 (mixing fully to I/4)
-    for section, keys, lo, hi in (
-            ("pipeline", ("qfc_process_fidelity",), 0, 1),
-            ("pipeline", ("excitation_error", "spam_error", "mw_rotation_error",
-                          "pi_collection_error"), 0, 0.75),
-            ("pipeline", ("decoherence_exponent_a",), 1, 3),
-            ("storage", ("eta_internal_h", "eta_internal_v"), 0, 1),
-            ("storage", ("residual_infidelity",), 0, 0.5)):
-        for key in keys:
-            v = cfg[section][key]
-            if not _finite_number(v) or not lo <= v <= hi:
-                errors.append(f"{section}.{key}: expected a number in [{lo}, {hi}], "
-                              f"got {v!r}")
+def _check_spans(errors: list, cfg: dict, rejected: set):
+    """The checks that span fields, and the subnormal storage efficiency."""
     storage = cfg["storage"]
-    for key in ("eta_device_h", "eta_device_v"):  # rate-chain stages, as EfficiencyStage
-        v = storage[key]
-        if not _finite_number(v) or not 0 < v <= 1:
-            errors.append(f"storage.{key}: expected a number in (0, 1], got {v!r}")
     if storage["eta_internal_h"] == storage["eta_internal_v"] == 0:
         errors.append("storage.eta_internal_h, storage.eta_internal_v: both 0, so the "
                       "memory stores nothing")
     for key in ("eta_internal_h", "eta_internal_v"):  # subnormal: the herald underflows
         v = storage[key]
-        if _number(v) and 0 < v < sys.float_info.min:
+        if isinstance(v, _NUMBER) and 0 < v < sys.float_info.min:
             errors.append(f"storage.{key}: {v!r} is subnormal; expected 0 or at least "
                           f"{sys.float_info.min!r}")
-    _validate_pump(errors, cfg["pump"])
-    pipeline = cfg["pipeline"]
-    v = pipeline["bootstrap_resamples"]
-    if not _integer(v) or v < 100:
-        errors.append(f"pipeline.bootstrap_resamples: expected an integer >= 100, got {v!r}")
-    v = pipeline["apply_storage_residual"]
-    if not isinstance(v, bool):
-        errors.append(f"pipeline.apply_storage_residual: expected true or false, got {v!r}")
-    for scen, key in BUDGET_KEYS.items():
-        sec = cfg["scenarios"][scen]
-        # at least one shot per measurement setting
-        v, least = sec[key], 4 if scen == "chsh" else 9
-        if not _integer(v) or v < least:
-            errors.append(f"scenarios.{scen}.{key}: expected an integer >= {least}, "
-                          f"got {v!r}")
-        v = sec["snr"]  # inf allowed: no dark noise
-        if not _number(v) or not v > 0:
-            errors.append(f"scenarios.{scen}.snr: expected a number > 0, got {v!r}")
-        v = sec["decoherence_time_us"]
-        if not _finite_number(v) or v < 0:
-            errors.append(f"scenarios.{scen}.decoherence_time_us: expected a finite "
-                          f"number >= 0, got {v!r}")
-    for scen in SWEEP_RANGES:
-        _validate_sweep(errors, scen, cfg["scenarios"][scen])
-
-
-def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _finite_number(v) -> bool:
-    return _number(v) and math.isfinite(v)
-
-
-def _integer(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _interval(v) -> bool:
-    return (isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_finite_number, v))
-            and v[0] < v[1])
-
-
-def _validate_pump(errors: list, pump: dict):
-    """Ordered intervals, finite offsets, nonnegative strengths and depths, a
-    positive broadening and a partial weight in [0, 1]."""
-    windows, target = pump["windows"], pump["target"]
-    if not isinstance(windows, (list, tuple)) or not all(map(_interval, windows)):
-        errors.append(f"pump.windows: expected a list of [lo, hi] number pairs with "
-                      f"lo < hi, got {windows!r}")
-    if not _interval(target):
-        errors.append(f"pump.target: expected a [lo, hi] number pair with lo < hi, "
-                      f"got {target!r}")
-    for key, least in (("ground_offsets", None), ("excited_offsets", None),
-                       ("strengths", 0), ("native_d", 0)):
-        for label, v in pump[key].items():
-            if not _finite_number(v) or (least is not None and v < least):
-                bound = "" if least is None else f" >= {least}"
-                errors.append(f"pump.{key}.{label}: expected a finite number{bound}, "
-                              f"got {v!r}")
+    pump = cfg["pump"]
     for label in pump["strengths"]:
         ground, _, excited = label.partition(":")
         if ground not in pump["ground_offsets"] or excited not in pump["excited_offsets"]:
             errors.append(f"pump.strengths.{label}: expected a ground:excited pair of "
                           f"pump.ground_offsets and pump.excited_offsets labels")
-    v = pump["broadening_mhz"]
-    if not _finite_number(v) or v <= 0:
-        errors.append(f"pump.broadening_mhz: expected a positive finite number, got {v!r}")
-    v = pump["partial_weight"]
-    if not _finite_number(v) or not 0 <= v <= 1:
-        errors.append(f"pump.partial_weight: expected a number in [0, 1], got {v!r}")
-
-
-def _validate_sweep(errors: list, scen: str, sec: dict):
-    """At least two points over a finite, increasing range (storage times >= 0)."""
-    points = sec["points"]
-    if not _integer(points) or points < 2:
-        errors.append(f"scenarios.{scen}.points: expected an integer >= 2, got {points!r}")
-    start_key, stop_key = SWEEP_RANGES[scen]
-    start, stop = sec[start_key], sec[stop_key]
-    for key, v in ((start_key, start), (stop_key, stop)):
-        if not _finite_number(v):
-            errors.append(f"scenarios.{scen}.{key}: expected a finite number, got {v!r}")
-    if not (_finite_number(start) and _finite_number(stop)):
-        return
-    if not start < stop:
-        errors.append(f"scenarios.{scen}.{start_key}: {start!r} is not below "
-                      f"{stop_key} = {stop!r}")
-    if scen == "afc_sweep" and start < 0:
-        errors.append(f"scenarios.{scen}.{start_key}: storage time {start!r} is negative")
+    for scen, (start_key, stop_key) in SWEEP_RANGES.items():
+        sec = cfg["scenarios"][scen]
+        paths = [f"scenarios.{scen}.{start_key}", f"scenarios.{scen}.{stop_key}"]
+        if rejected.isdisjoint(paths) and not sec[start_key] < sec[stop_key]:
+            errors.append(f"{paths[0]}: {sec[start_key]!r} is not below "
+                          f"{stop_key} = {sec[stop_key]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +446,7 @@ def error_budget_rows(cfg: ExperimentConfig) -> list[ErrorSource]:
         ("pulse_excitation", pl["excitation_error"], "measured"),
         ("pi_collection", pl["pi_collection_error"], "measured"),
         ("dark_noise", DARK_NOISE_INFIDELITY_PUBLISHED, "photon.dark_noise_infidelity"),
-        ("photon_detection_pbs", 1.0 / cfg.noise.pbs_extinction,
+        ("photon_detection_pbs", 1.0 / cfg.section("noise")["pbs_extinction"],
          "photon.pbs_bitflip_channel"),
         ("qm_storage", QM_STORAGE_INFIDELITY_PUBLISHED, "measured"),
     )

@@ -54,17 +54,6 @@ class JitterParams:
 
 
 @dataclass(frozen=True)
-class NoiseParams:
-    """Detection-side noise figures."""
-
-    pbs_extinction: float = 3500.0
-
-    def __post_init__(self):
-        if self.pbs_extinction <= 1:
-            raise ValueError("extinction ratio must exceed 1")
-
-
-@dataclass(frozen=True)
 class ProcessMatrix:
     """Single-qubit chi matrix over the Pauli basis {I, X, Y, Z}.
 

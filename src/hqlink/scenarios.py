@@ -103,11 +103,11 @@ def pipeline_channels(cfg: ExperimentConfig, scenario: str) -> list[tuple[str, Q
     if scenario in ("ti_qm", "chsh"):
         chain.append(("qm_storage", memory.storage_channel(storage["eta_internal_h"],
                                                            storage["eta_internal_v"])))
-        if pl["apply_storage_residual"]:
-            chain.append(("qm_storage_residual",
-                          memory.storage_residual_channel(storage["residual_infidelity"])))
+        chain.append(("qm_storage_residual",
+                      memory.storage_residual_channel(storage["residual_infidelity"])))
     if scenario in ("post_qfc", "ti_qm", "chsh"):
-        chain.append(("pbs_leakage", pbs_bitflip_channel(cfg.noise.pbs_extinction)))
+        chain.append(("pbs_leakage",
+                      pbs_bitflip_channel(cfg.section("noise")["pbs_extinction"])))
     chain += [
         ("spam", white_noise_channel(pl["spam_error"])),
         ("mw_rotation", white_noise_channel(pl["mw_rotation_error"])),

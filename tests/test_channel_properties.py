@@ -196,8 +196,7 @@ def pipeline_configs(draw):
     scenario = draw(st.sampled_from(TOMOGRAPHY_SCENARIOS))
     pipeline = {name: draw(white_noise_rate) for name in WHITE_NOISE_RATES}
     pipeline.update(qfc_process_fidelity=draw(unit),
-                    decoherence_exponent_a=draw(st.floats(1.0, 3.0)),
-                    apply_storage_residual=draw(st.booleans()))
+                    decoherence_exponent_a=draw(st.floats(1.0, 3.0)))
     eta_h, eta_v = draw(efficiency), draw(efficiency)
     if eta_h == eta_v == 0.0:
         eta_v = draw(st.floats(sys.float_info.min, 1.0))
@@ -235,6 +234,25 @@ class TestPipelineChannelProperties:
             name for name, _ in pipeline_channels(cfg, scenario)]
         for name, f in breakdown:
             assert 0.0 <= f <= 1.0, name
+
+    @pytest.mark.parametrize("scenario", ["ti_qm", "chsh"])
+    def test_zero_storage_residual_is_the_chain_without_it(self, scenario):
+        # residual_infidelity 0 switches the residual off: its channel
+        # (I, 0 Z) leaves the state bitwise unchanged
+        cfg = ExperimentConfig.defaults(scenario, storage={"residual_infidelity": 0.0})
+        state, herald_prob, breakdown = analytic_pipeline_state(cfg, scenario)
+        skipped = emit_entangled_state(cfg.ion, t_elapsed_ns=0.0).density()
+        skipped_prob = 1.0
+        for name, ch in pipeline_channels(cfg, scenario):
+            if name != "qm_storage_residual":
+                skipped = apply_channel(skipped, ch)
+                if not ch.trace_preserving:
+                    skipped_prob *= skipped.trace
+                    skipped = skipped.renormalized()
+        assert state.matrix.tobytes() == skipped.matrix.tobytes()
+        assert herald_prob == skipped_prob
+        fidelities = dict(breakdown)
+        assert fidelities["qm_storage_residual"] == fidelities["qm_storage"]
 
     @pytest.mark.parametrize("rate", WHITE_NOISE_RATES)
     def test_white_noise_rate_above_three_quarters_rejected_at_load(self, rate):

@@ -238,14 +238,14 @@ class TestCli:
         ("chsh", {"scenarios": {"chsh": {"decoherence_time_us": -1.0}}},
          "scenarios.chsh.decoherence_time_us"),
         ("budget", {"ion": {"zeeman_frequency_mhz": float("nan")}},
-         "ion: zeeman_frequency_mhz"),
+         "ion.zeeman_frequency_mhz: expected a finite number >= 0, got nan"),
         ("budget", {"master_seed": True}, "master_seed"),
         ("ti_qm", {"pipeline": {"bootstrap_resamples": 5}}, "pipeline.bootstrap_resamples"),
         ("ti_qm", {"pipeline": {"decoherence_exponent_a": 5}},
          "pipeline.decoherence_exponent_a"),
         ("ti_qm", {"storage": {"residual_infidelity": 0.9}}, "storage.residual_infidelity"),
-        ("chsh", {"pipeline": {"apply_storage_residual": "no"}},
-         "pipeline.apply_storage_residual"),
+        ("chsh", {"pipeline": {"apply_storage_residual": False}},
+         "pipeline.apply_storage_residual: unknown field"),
         ("budget", {"storage": {"eta_device_h": 0}}, "storage.eta_device_h"),
         ("budget", {"storage": {"eta_device_v": 0.0}}, "storage.eta_device_v"),
         ("ti_qm", {"storage": {"eta_internal_h": 0, "eta_internal_v": 0}},
@@ -260,17 +260,33 @@ class TestCli:
         ("budget", {"pump": {"strengths": {"1/2g-1/2e": 0.5}}}, "pump.strengths.1/2g-1/2e"),
         ("budget", {"pump": {"native_d": {"H": [5.24]}}}, "pump.native_d.H"),
         ("budget", {"pump": {"partial_weight": 7}}, "pump.partial_weight"),
-        ("afc_sweep", {"comb": {"d": float("nan")}}, "comb: d must be a finite number"),
+        ("afc_sweep", {"comb": {"d": float("nan")}},
+         "comb.d: expected a positive finite number, got nan"),
         ("ti_qm", {"jitter": {"awg_rms_ns": float("nan")}},
-         "jitter: awg_rms_ns must be a finite number"),
+         "jitter.awg_rms_ns: expected a finite number >= 0, got nan"),
         ("ti_qm", {"jitter": {"transceiver_rms_ns": float("inf")}},
-         "jitter: transceiver_rms_ns must be a finite number"),
+         "jitter.transceiver_rms_ns: expected a finite number >= 0, got inf"),
         ("ti_qm", {"pipeline": {"spam_error": 0.8}}, "pipeline.spam_error"),
         # a subnormal storage efficiency underflows the herald probability
         ("budget", {"storage": {"eta_internal_h": 0.0, "eta_internal_v": 5e-324}},
          "storage.eta_internal_v: 5e-324 is subnormal"),
         ("chsh", {"storage": {"eta_internal_h": math.nextafter(sys.float_info.min, 0)}},
          "storage.eta_internal_h: 2.225073858507201e-308 is subnormal"),
+        # booleans, NaN and strings that only the typed sections used to see
+        ("afc_sweep", {"comb": {"d": True}}, "comb.d: expected a positive finite number, "
+         "got True"),
+        ("ti_qm", {"jitter": {"awg_rms_ns": True}}, "jitter.awg_rms_ns: expected a finite "
+         "number >= 0, got True"),
+        ("ti_qm", {"spectral": {"gamma_natural_mhz": True}}, "spectral.gamma_natural_mhz: "
+         "expected a positive finite number, got True"),
+        ("afc_sweep", {"ion": {"coherence_time_tau_ms": float("nan")}},
+         "ion.coherence_time_tau_ms: expected a number > 0, got nan"),
+        ("afc_sweep", {"noise": {"pbs_extinction": float("nan")}},
+         "noise.pbs_extinction: expected a number > 1, got nan"),
+        ("ti_qm", {"ion": {"coherence_time_tau_ms": "1"}},
+         "ion.coherence_time_tau_ms: expected a number > 0, got '1'"),
+        ("bandwidth_sweep", {"spectral": {"qm_bandwidth_mhz": "x"}},
+         "spectral.qm_bandwidth_mhz: expected a positive finite number, got 'x'"),
     ])
     def test_bad_value_exit_two(self, scenario, config, field, tmp_path, capsys):
         _assert_exit_two(tmp_path, capsys, scenario, config, field)

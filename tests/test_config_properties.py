@@ -1,29 +1,32 @@
 """Config round trip and rejection over drawn inputs: a loaded config
-survives JSON, a file and an empty override unchanged, and an unknown key or
-a non-number in a checked numeric field fails at load naming its path."""
+survives JSON, a file and an empty override unchanged, an unknown key or a
+non-number in a numeric field fails at load naming its path, and every field
+has exactly one rule in config.FIELD_RULES."""
 
 import contextlib
 import io
 import json
+import math
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hqlink.cli as cli
 from hqlink.config import (
-    BUDGET_KEYS,
+    FIELD_RULES,
     LABEL_MAPS,
     SCENARIOS,
-    SWEEP_RANGES,
     ConfigError,
     ExperimentConfig,
+    _rule_pattern,
     default_config_dict,
 )
 
 unit = st.floats(0.0, 1.0)
 white_noise_rate = st.floats(0.0, 0.75)
-# the ranges _validate_sections accepts
+# the ranges FIELD_RULES accepts
 PIPELINE_VALUES = {
     "qfc_process_fidelity": unit,
     "decoherence_exponent_a": st.floats(1.0, 3.0),
@@ -31,7 +34,6 @@ PIPELINE_VALUES = {
     "spam_error": white_noise_rate,
     "mw_rotation_error": white_noise_rate,
     "pi_collection_error": white_noise_rate,
-    "apply_storage_residual": st.booleans(),
     "bootstrap_resamples": st.integers(100, 10 ** 6),
 }
 positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
@@ -55,24 +57,19 @@ def _sections(tree: dict, path: str = ""):
 SECTIONS = list(_sections(default_config_dict()))
 
 
-def _numeric_fields() -> list[str]:
-    """Dotted paths of the fields _validate_sections checks to be numbers."""
-    d = default_config_dict()
-    fields = [f"rates.{key}" for key in d["rates"]]
-    fields += [f"pipeline.{key}" for key in PIPELINE_VALUES if key != "apply_storage_residual"]
-    fields += [f"storage.{key}" for key in d["storage"]]
-    for scen, key in BUDGET_KEYS.items():
-        fields += [f"scenarios.{scen}.{k}" for k in (key, "snr", "decoherence_time_us")]
-    for scen, keys in SWEEP_RANGES.items():
-        fields += [f"scenarios.{scen}.{k}" for k in ("points", *keys)]
-    fields += ["pump.broadening_mhz", "pump.partial_weight"]
-    fields += [f"{path}.{label}" for path in LABEL_MAPS
-               for label in d["pump"][path.split(".")[1]]]
-    return fields
+def _leaves(tree: dict, path: str = ""):
+    """(dotted path, default) of every field in the defaults, labels included."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + key + ".")
+        else:
+            yield path + key, value
 
 
-NUMERIC_FIELDS = _numeric_fields()
-non_numbers = (st.text(max_size=8) | st.none() | st.booleans()
+LEAVES = dict(_leaves(default_config_dict()))
+NUMERIC_FIELDS = [path for path, value in LEAVES.items()
+                  if isinstance(value, (int, float)) and not isinstance(value, bool)]
+non_numbers = (st.text(max_size=8) | st.none() | st.booleans() | st.just(math.nan)
                | st.lists(st.integers(), max_size=3))
 
 
@@ -131,4 +128,33 @@ class TestRejection:
     @settings(max_examples=60, deadline=None)
     @given(path=st.sampled_from(NUMERIC_FIELDS), value=non_numbers)
     def test_non_number_names_its_path(self, path, value, tmp_path_factory):
+        assume(not (path == "comb.finesse" and value is None))  # null: F = delta/gamma
         _assert_rejected(_nest(path, value), path, tmp_path_factory.mktemp("bad"))
+
+    def test_every_numeric_field_rejects_each_non_number_once(self):
+        for path in NUMERIC_FIELDS:
+            for value in (math.nan, True, "1", None, [1]):
+                if path == "comb.finesse" and value is None:
+                    continue
+                with pytest.raises(ConfigError) as err:
+                    ExperimentConfig.from_dict(_nest(path, value))
+                assert len(err.value.errors) == 1, err.value.errors
+                assert err.value.errors[0].startswith(f"{path}: expected "), err.value.errors
+
+
+class TestFieldRules:
+    def test_every_field_has_exactly_one_rule_and_every_rule_a_field(self):
+        patterns = {}
+        for path in LEAVES:
+            try:
+                patterns[path] = _rule_pattern(path)
+            except ValueError:
+                raise AssertionError(f"{path} matches no rule or more than one") from None
+        assert set(patterns.values()) == set(FIELD_RULES)
+
+    def test_added_label_takes_its_maps_rule(self):
+        cfg = ExperimentConfig.defaults("budget", pump={"native_d": {"D": 1.0}})
+        assert cfg.section("pump")["native_d"]["D"] == 1.0
+        with pytest.raises(ConfigError, match=r"pump\.native_d\.D: expected a finite "
+                                              r"number >= 0, got -1\.0"):
+            ExperimentConfig.defaults("budget", pump={"native_d": {"D": -1.0}})

@@ -8,7 +8,6 @@ import pytest
 
 from hqlink.photon import (
     JitterParams,
-    NoiseParams,
     ProcessMatrix,
     dark_noise_admixture,
     dark_noise_infidelity,
@@ -84,7 +83,7 @@ class TestJitter:
 class TestPbs:
     def test_extinction_must_exceed_one(self):
         with pytest.raises(ValueError, match="exceed 1"):
-            NoiseParams(pbs_extinction=1.0)
+            pbs_bitflip_channel(1.0)
 
     def test_operating_point(self):
         ch = pbs_bitflip_channel(3500.0)
