@@ -16,14 +16,7 @@ from .budget import (
     total_infidelity,
 )
 from .config import ConfigError, ExperimentConfig
-from .ion import (
-    ExcitationFit,
-    IonParams,
-    SpamParams,
-    decoherence_channel,
-    emit_entangled_state,
-    excitation_probability,
-)
+from .ion import IonParams, decoherence_channel, emit_entangled_state
 from .memory import (
     CombParams,
     PumpPlan,
@@ -39,7 +32,6 @@ from .photon import (
     ProcessMatrix,
     dark_noise_admixture,
     jitter_dephasing_channel,
-    jitter_total_rms,
     pbs_bitflip_channel,
     process_fidelity,
     process_matrix_channel,
@@ -65,7 +57,6 @@ from .tomography import (
     bootstrap_uncertainty,
     chsh,
     mle_reconstruct,
-    simulate_counts,
 )
 
 __version__ = "0.1.0"

@@ -132,8 +132,20 @@ def default_config_dict() -> dict:
 _NUMBER = (int, float)
 
 
+def _number(v) -> bool:
+    """An int or float, not a boolean, that float() can represent: an integer
+    beyond the float range compares below infinity but overflows float()."""
+    if not isinstance(v, _NUMBER) or isinstance(v, bool):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
+
+
 def _finite_number(v) -> bool:
-    return isinstance(v, _NUMBER) and not isinstance(v, bool) and -math.inf < v < math.inf
+    return _number(v) and math.isfinite(v)
 
 
 def _interval(v) -> bool:
@@ -142,31 +154,32 @@ def _interval(v) -> bool:
 
 
 def _closed(lo, hi):
-    return f"a number in [{lo}, {hi}]", lambda v: isinstance(v, _NUMBER) and lo <= v <= hi
+    return f"a number in [{lo}, {hi}]", lambda v: _number(v) and lo <= v <= hi
 
 
 def _above(lo):  # infinity passes
-    return f"a number > {lo}", lambda v: isinstance(v, _NUMBER) and v > lo
+    return f"a number > {lo}", lambda v: _number(v) and v > lo
 
 
 def _integer_from(least):
-    return f"an integer >= {least}", lambda v: isinstance(v, int) and v >= least
+    return f"an integer >= {least}", lambda v: isinstance(v, int) and _number(v) and v >= least
 
 
 _FINITE = ("a finite number", _finite_number)
 _FINITE_NONNEGATIVE = ("a finite number >= 0",
-                       lambda v: isinstance(v, _NUMBER) and 0 <= v < math.inf)
+                       lambda v: _number(v) and 0 <= v < math.inf)
 _POSITIVE_FINITE = ("a positive finite number",
-                    lambda v: isinstance(v, _NUMBER) and 0 < v < math.inf)
+                    lambda v: _number(v) and 0 < v < math.inf)
 # a rate-chain stage, as EfficiencyStage takes it
-_STAGE_EFFICIENCY = ("a number in (0, 1]", lambda v: isinstance(v, _NUMBER) and 0 < v <= 1)
+_STAGE_EFFICIENCY = ("a number in (0, 1]", lambda v: _number(v) and 0 < v <= 1)
 # a white-noise rate costs a Bell state its own value of fidelity, which a
 # depolarizing channel reaches only up to 3/4 (mixing fully to I/4)
 _WHITE_NOISE_RATE = _closed(0, 0.75)
 # The one rule of each config field: what the value must be, and its test.
 # No field takes a boolean, so the check rejects true and false before any
-# test, and a test may read an int as a number; NaN fails every bound.  ``*``
-# stands for any one key, and a label added to a label map takes its ``*``.
+# test; every numeric test takes only what float() can represent, and NaN
+# fails every bound.  ``*`` stands for any one key, and a label added to a
+# label map takes its ``*``.
 FIELD_RULES = {
     "scenario": (f"one of {SCENARIOS}", lambda v: v in SCENARIOS),
     "master_seed": _integer_from(0),

@@ -55,10 +55,6 @@ class CombParams:
             raise ValueError(
                 f"finesse {self.finesse} inconsistent with delta/gamma = {implied:.4f}")
 
-    @property
-    def echo_period_ns(self) -> float:
-        return 1e3 / self.delta_mhz
-
 
 @dataclass(frozen=True)
 class SpectralModel:

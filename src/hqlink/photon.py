@@ -47,7 +47,7 @@ class JitterParams:
     def __post_init__(self):
         for name in ("awg_rms_ns", "transceiver_rms_ns"):
             v = getattr(self, name)
-            if not (isinstance(v, Real) and math.isfinite(v)):
+            if isinstance(v, bool) or not (isinstance(v, Real) and math.isfinite(v)):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
         if self.awg_rms_ns < 0 or self.transceiver_rms_ns < 0:
             raise ValueError("jitter components must be nonnegative")
@@ -142,7 +142,7 @@ def pbs_bitflip_channel(extinction: float) -> QuantumChannel:
     The leakage probability is 1/extinction and equals the Bell-state
     infidelity of the channel exactly.
     """
-    if extinction <= 1:
+    if not extinction > 1:  # NaN fails too
         raise ValueError("extinction ratio must exceed 1")
     return bitflip_channel(1.0 / extinction, subsystem=1)
 

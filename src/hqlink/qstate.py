@@ -32,7 +32,6 @@ I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI_LABELS = ("I", "X", "Y", "Z")
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -29,8 +29,6 @@ from .rng import as_rng
 
 AXES = ("Z", "X", "Y")
 
-OUTCOME_ORDER = ("++", "+-", "-+", "--")
-
 
 class NonConvergenceError(RuntimeError):
     """MLE failed to converge; carries the final gradient norm per count."""
@@ -114,17 +112,6 @@ def born_probabilities(rho: DensityMatrix, setting: MeasurementSetting,
     return p / p.sum()
 
 
-def simulate_counts(rho: DensityMatrix, setting: MeasurementSetting, shots: int,
-                    snr: float | None, rng_seed) -> CountRecord:
-    """Multinomial sampling of one setting; deterministic for a fixed seed."""
-    if shots <= 0:
-        raise ValueError("shots must be positive")
-    rng = as_rng(rng_seed)
-    p = born_probabilities(rho, setting, snr)
-    counts = rng.multinomial(shots, p)
-    return CountRecord(setting=setting, counts=tuple(int(c) for c in counts), shots=shots)
-
-
 def simulate_tomography(rho: DensityMatrix, shots_per_setting, snr: float | None,
                         rng_seed) -> list[CountRecord]:
     """Counts for the full 9-setting grid.
@@ -132,8 +119,8 @@ def simulate_tomography(rho: DensityMatrix, shots_per_setting, snr: float | None
     ``shots_per_setting`` is an int applied to every setting or a mapping from
     (ion_axis, photon_axis) to shots.  The dark-noise admixture is applied
     once, all 36 outcome probabilities come from one contraction and all 9
-    settings from one multinomial call; the draws match per-setting
-    simulate_counts calls on the same generator.
+    settings from one multinomial call; the draws match one multinomial draw
+    per setting, over its born_probabilities, on the same generator.
     """
     settings = all_settings()
     if isinstance(shots_per_setting, dict):
@@ -369,11 +356,6 @@ class ChshSettings:
     def optimal(cls) -> "ChshSettings":
         """Tsirelson-optimal angles for the phase-zero entangled state."""
         return cls.from_angles(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
-
-    @classmethod
-    def paper_stated(cls) -> "ChshSettings":
-        """Ion X/Z with photon Z/X analyzers; bounded by 2 on any state."""
-        return cls.from_angles(math.pi / 2, 0.0, 0.0, math.pi / 2)
 
     def pairs(self):
         return ((self.a0, self.b0, +1), (self.a0, self.b1, +1),

@@ -1,7 +1,8 @@
 """Config round trip and rejection over drawn inputs: a loaded config
 survives JSON, a file and an empty override unchanged, an unknown key or a
-non-number in a numeric field fails at load naming its path, and every field
-has exactly one rule in config.FIELD_RULES."""
+non-number (an integer beyond the float range included) in a numeric field
+fails at load naming its path, and every field has exactly one rule in
+config.FIELD_RULES."""
 
 import contextlib
 import io
@@ -69,8 +70,10 @@ def _leaves(tree: dict, path: str = ""):
 LEAVES = dict(_leaves(default_config_dict()))
 NUMERIC_FIELDS = [path for path, value in LEAVES.items()
                   if isinstance(value, (int, float)) and not isinstance(value, bool)]
+# integers from 2**1024 up overflow float(), though they compare below infinity
 non_numbers = (st.text(max_size=8) | st.none() | st.booleans() | st.just(math.nan)
-               | st.lists(st.integers(), max_size=3))
+               | st.lists(st.integers(), max_size=3)
+               | st.integers(min_value=2 ** 1024) | st.integers(max_value=-2 ** 1024))
 
 
 def _nest(path: str, value) -> dict:
@@ -133,7 +136,7 @@ class TestRejection:
 
     def test_every_numeric_field_rejects_each_non_number_once(self):
         for path in NUMERIC_FIELDS:
-            for value in (math.nan, True, "1", None, [1]):
+            for value in (math.nan, True, "1", None, [1], 2 ** 1024, -2 ** 1024):
                 if path == "comb.finesse" and value is None:
                     continue
                 with pytest.raises(ConfigError) as err:

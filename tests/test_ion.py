@@ -1,5 +1,4 @@
-"""Trapped-ion node tests: emission phase, excitation curve, SPAM calibration
-and decoherence."""
+"""Trapped-ion node tests: emission phase and decoherence."""
 
 import math
 
@@ -7,13 +6,10 @@ import numpy as np
 import pytest
 
 from hqlink.ion import (
-    ExcitationFit,
     IonParams,
-    SpamParams,
     decoherence_channel,
     decoherence_infidelity,
     emit_entangled_state,
-    excitation_probability,
 )
 from hqlink.qstate import apply_channel, bell_state, fidelity
 
@@ -61,62 +57,9 @@ class TestEmission:
         with pytest.raises(ValueError, match="coherence time"):
             IonParams(coherence_time_tau_ms=0.0)
 
-
-class TestExcitation:
-    def test_zero_energy(self):
-        assert excitation_probability(ExcitationFit(E=0.0)) == 0.0
-
-    def test_pi_pulse_with_unit_amplitude(self):
-        # alpha * E^(beta/2) = pi
-        fit = ExcitationFit(A=1.0, alpha=math.pi, beta=2.0, E=1.0)
-        assert excitation_probability(fit) == pytest.approx(1.0, abs=1e-12)
-
-    def test_operating_point(self):
-        assert excitation_probability(ExcitationFit()) == pytest.approx(0.960, abs=1e-9)
-
-    def test_monotone_up_to_pi_area(self):
-        fit_base = ExcitationFit(A=0.9, alpha=2.0, beta=1.5)
-        e_pi = (math.pi / fit_base.alpha) ** (2 / fit_base.beta)
-        energies = np.linspace(0, e_pi, 60)
-        probs = [excitation_probability(ExcitationFit(A=0.9, alpha=2.0, beta=1.5, E=e))
-                 for e in energies]
-        assert all(b >= a - 1e-12 for a, b in zip(probs, probs[1:]))
-
-    @pytest.mark.parametrize("field,value", [
-        ("A", 0.0), ("A", 1.1), ("alpha", 0.0), ("beta", -1.0), ("E", -0.5),
-    ])
-    def test_invalid_fit_rejected(self, field, value):
-        with pytest.raises(ValueError):
-            ExcitationFit(**{field: value})
-
-
-class TestSpam:
-    def test_calibrated_fidelities(self):
-        # Poisson sums at the 1.5 threshold (one count or fewer reads dark): a
-        # dark ion counts background B only, a bright one min(N, L) + B with N
-        # Poisson and P(L >= k) = (1 - leak)^k
-        params = SpamParams.calibrated()
-        mu, m = params.background_mean, params.mean_bright_counts
-        p_b = np.exp(-mu) * np.array([1.0, mu])  # P(B = 0), P(B = 1)
-        p_n = np.exp(-m) * np.array([1.0, m])  # P(N = 0), P(N = 1)
-        keep = 1 - params.leak_per_scatter
-        at_least = np.array([1.0, (1 - p_n[0]) * keep, (1 - p_n.sum()) * keep ** 2])
-        p_min = -np.diff(at_least)  # P(min(N, L) = 0), P(min(N, L) = 1)
-        f_dark = p_b.sum()
-        f_bright = 1 - (p_min[0] * p_b.sum() + p_min[1] * p_b[0])
-        assert f_dark == pytest.approx(0.998, abs=1e-9)
-        assert f_bright == pytest.approx(0.987, abs=1e-9)
-
-    def test_overall_error_is_mean_misassignment(self):
-        assert SpamParams().spam_error == pytest.approx(0.0075, abs=1e-12)
-
-    @pytest.mark.parametrize("field,value", [
-        ("threshold", 0.0), ("dark_fidelity", 1.1), ("bright_fidelity", -0.1),
-        ("leak_per_scatter", 1.5), ("background_mean", -0.1),
-    ])
-    def test_invalid_params_rejected(self, field, value):
-        with pytest.raises(ValueError):
-            SpamParams(**{field: value})
+    def test_nan_coherence_time_rejected(self):
+        with pytest.raises(ValueError, match="coherence time"):
+            IonParams(coherence_time_tau_ms=math.nan)
 
 
 class TestDecoherence:

@@ -70,6 +70,7 @@ class TestJitter:
         ("transceiver_rms_ns", float("nan")),
         ("transceiver_rms_ns", float("-inf")),
         ("awg_rms_ns", "0.1"),
+        ("awg_rms_ns", True),
     ])
     def test_non_finite_component_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be a finite number"):
@@ -84,6 +85,11 @@ class TestPbs:
     def test_extinction_must_exceed_one(self):
         with pytest.raises(ValueError, match="exceed 1"):
             pbs_bitflip_channel(1.0)
+
+    def test_nan_extinction_rejected(self):
+        # fails its own check, not later inside bitflip_channel
+        with pytest.raises(ValueError, match="extinction ratio must exceed 1"):
+            pbs_bitflip_channel(math.nan)
 
     def test_operating_point(self):
         ch = pbs_bitflip_channel(3500.0)

@@ -37,7 +37,6 @@ from hqlink.tomography import (
     records_to_csv,
     setting_projectors,
     simulate_chsh,
-    simulate_counts,
     simulate_tomography,
     split_heralds,
 )
@@ -58,20 +57,36 @@ def random_pm1_observable(rng) -> Observable:
     return Observable(n[0] * sx + n[1] * sy + n[2] * sz)
 
 
+def per_setting_draws(rho, shots, snr, rng):
+    """One multinomial draw per setting over its born_probabilities, in
+    all_settings() order; ``shots`` maps each (ion_axis, photon_axis) to its
+    shots."""
+    records = []
+    for s in all_settings():
+        n = shots[(s.ion_axis, s.photon_axis)]
+        counts = rng.multinomial(n, born_probabilities(rho, s, snr))
+        records.append(CountRecord(s, tuple(int(c) for c in counts), n))
+    return records
+
+
+def zz_record(records):
+    (rec,) = [r for r in records if r.setting == MeasurementSetting("Z", "Z")]
+    return rec
+
+
 class TestSimulateCounts:
     def test_bell_zz_pattern(self):
         setting = MeasurementSetting("Z", "Z")
         p = born_probabilities(bell_state(0.0).density(), setting)
         np.testing.assert_allclose(p, [0.5, 0, 0, 0.5], atol=1e-12)
-        rec = simulate_counts(bell_state(0.0).density(), setting, 1000, None, 5)
+        rec = zz_record(simulate_tomography(bell_state(0.0).density(), 1000, None, 5))
         assert rec.counts[1] == 0 and rec.counts[2] == 0
         assert rec.counts[0] + rec.counts[3] == 1000
 
     def test_maximally_mixed_uniform(self):
-        rec = simulate_counts(maximally_mixed(4), MeasurementSetting("X", "Y"),
-                              40000, None, 6)
-        for c in rec.counts:
-            assert c == pytest.approx(10000, abs=500)
+        for rec in simulate_tomography(maximally_mixed(4), 40000, None, 6):
+            for c in rec.counts:
+                assert c == pytest.approx(10000, abs=500)
 
     def test_snr_shifts_probabilities_toward_uniform(self):
         setting = MeasurementSetting("Z", "Z")
@@ -79,22 +94,25 @@ class TestSimulateCounts:
         p_noisy = born_probabilities(bell_state(0.0).density(), setting, snr=28.0)
         mix = 1 / 29
         np.testing.assert_allclose(p_noisy, (1 - mix) * p_clean + mix * 0.25, atol=1e-12)
+        # sampled: the anticorrelated ZZ outcomes appear at mix / 4 each
+        rec = zz_record(simulate_tomography(bell_state(0.0).density(), 10 ** 6, 28.0, 8))
+        np.testing.assert_allclose(np.array(rec.counts) / 10 ** 6, p_noisy, atol=1e-3)
+        assert min(rec.counts[1], rec.counts[2]) > 0
 
     def test_deterministic_per_seed(self):
         rho = werner(0.9)
-        a = simulate_counts(rho, MeasurementSetting("X", "X"), 500, 28.0, 99)
-        b = simulate_counts(rho, MeasurementSetting("X", "X"), 500, 28.0, 99)
-        assert a.counts == b.counts
+        a = simulate_tomography(rho, 500, 28.0, 99)
+        assert a == simulate_tomography(rho, 500, 28.0, 99)
+        assert a != simulate_tomography(rho, 500, 28.0, 100)
 
     def test_grid_draws_match_per_setting_draws(self):
         # simulate_tomography admixes the dark noise once per dataset; the
-        # counts equal one simulate_counts call per setting on the same stream
+        # counts equal one draw per setting on the same stream
         rho = analytic_pipeline_state(ExperimentConfig.defaults("ti_qm"), "ti_qm")[0]
+        shots = {(s.ion_axis, s.photon_axis): 198 for s in all_settings()}
         for seed in (3, 20260810):
             grid = simulate_tomography(rho, 198, 28.0, child_rng(seed, "x"))
-            rng = child_rng(seed, "x")
-            one_by_one = [simulate_counts(rho, s, 198, 28.0, rng) for s in all_settings()]
-            assert grid == one_by_one
+            assert grid == per_setting_draws(rho, shots, 28.0, child_rng(seed, "x"))
 
     def test_grid_draws_match_per_setting_draws_for_uneven_shots(self):
         rng = np.random.default_rng(47)
@@ -103,11 +121,8 @@ class TestSimulateCounts:
         for seed in range(20):
             rho = random_state(rng)
             grid = simulate_tomography(rho, shots, 28.0, child_rng(seed, "u"))
-            stream = child_rng(seed, "u")
             state = dark_noise_admixture(rho, 28.0)
-            one_by_one = [simulate_counts(state, s, shots[(s.ion_axis, s.photon_axis)],
-                                          None, stream) for s in all_settings()]
-            assert grid == one_by_one
+            assert grid == per_setting_draws(state, shots, None, child_rng(seed, "u"))
 
     @pytest.mark.parametrize("shots", [0, -3, {(a, b): 0 if (a, b) == ("Y", "X") else 5
                                                for a in "ZXY" for b in "ZXY"}])
@@ -267,7 +282,9 @@ class TestChsh:
         assert s == pytest.approx(2.328, abs=0.002)
 
     def test_paper_stated_axes_cap_at_two(self):
-        s = chsh(bell_state(0.0).density(), ChshSettings.paper_stated())
+        # ion X/Z with photon Z/X analyzers: bounded by 2 on any state
+        paper_stated = ChshSettings.from_angles(math.pi / 2, 0.0, 0.0, math.pi / 2)
+        s = chsh(bell_state(0.0).density(), paper_stated)
         assert s == pytest.approx(2.0, abs=1e-9)
 
     def test_linear_in_state(self):
@@ -351,8 +368,10 @@ class TestChshTables:
             for seed in range(5):
                 if which == "random":
                     s = ChshSettings.from_angles(*rng.uniform(-math.pi, math.pi, size=4))
+                elif which == "paper_stated":
+                    s = ChshSettings.from_angles(math.pi / 2, 0.0, 0.0, math.pi / 2)
                 else:
-                    s = getattr(ChshSettings, which)()
+                    s = ChshSettings.optimal()
                 assert chsh(rho, s) == chsh_oracle(rho, s)
                 for snr in (None, 28.0):
                     assert (simulate_chsh(rho, s, 4000, snr, child_rng(seed, "chsh"))
