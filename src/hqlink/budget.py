@@ -58,7 +58,7 @@ class RateChain:
     prefactors: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.repetition_rate_hz <= 0:
+        if not self.repetition_rate_hz > 0:  # NaN fails too
             raise ValueError("repetition rate must be positive")
         object.__setattr__(self, "stages", tuple(self.stages))
         object.__setattr__(self, "prefactors", dict(self.prefactors))
@@ -118,9 +118,9 @@ def total_infidelity(sources, mode: str = "sum") -> float:
 
 def snr_and_noise_rate(signal_rate_hz: float, noise_rate_hz: float) -> tuple[float, float]:
     """(SNR, noise fraction p = 1/(SNR+1)); zero noise gives (inf, 0)."""
-    if signal_rate_hz <= 0:
+    if not signal_rate_hz > 0:  # NaN fails too
         raise ValueError("signal rate must be positive")
-    if noise_rate_hz < 0:
+    if not noise_rate_hz >= 0:
         raise ValueError("noise rate must be nonnegative")
     if noise_rate_hz == 0:
         return math.inf, 0.0

@@ -87,7 +87,7 @@ def afc_efficiency(c: CombParams, t_storage_ns: float) -> float:
     eta = B^2 (d/F)^2 exp(-B d/F - 2 pi B^2 t^2 gamma^2) with Gaussian teeth,
     B = sqrt(pi)/sqrt(4 ln 2).  Clamped to [0, 1].
     """
-    if t_storage_ns < 0:
+    if not t_storage_ns >= 0:  # NaN fails too
         raise ValueError("storage time must be nonnegative")
     d_over_f = c.d / c.finesse
     t_s = t_storage_ns * 1e-9

@@ -56,6 +56,10 @@ class TestRates:
         assert end_to_end_efficiency(stages) == pytest.approx(
             end_to_end_efficiency(shuffled), rel=1e-12)
 
+    def test_nan_repetition_rate_rejected(self):
+        with pytest.raises(ValueError, match="repetition rate must be positive"):
+            RateChain("r", math.nan, (EfficiencyStage("a", 0.5),))
+
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
             rate(RateChain("empty", 100.0, [], {}))
@@ -144,6 +148,14 @@ class TestSnr:
         snr, p = snr_and_noise_rate(0.5, 0.0)
         assert math.isinf(snr)
         assert p == 0.0
+
+    def test_nan_signal_rate_rejected(self):
+        with pytest.raises(ValueError, match="signal rate must be positive"):
+            snr_and_noise_rate(math.nan, 0.007)
+
+    def test_nan_noise_rate_rejected(self):
+        with pytest.raises(ValueError, match="noise rate must be nonnegative"):
+            snr_and_noise_rate(0.2, math.nan)
 
 
 class TestCsvLayouts:

@@ -292,6 +292,19 @@ class TestCli:
         # compares below infinity, but the rate chain cannot float() it
         ("budget", {"rates": {"r_exp1_hz": 10 ** 400}},
          "rates.r_exp1_hz: expected a positive finite number, got 1000"),
+        # the same overflow under each other numeric rule an integer that
+        # large used to pass, or crash in with a traceback
+        ("budget", {"master_seed": 10 ** 400}, "master_seed: expected an integer >= 0, got 1000"),
+        ("budget", {"ion": {"coherence_time_tau_ms": 10 ** 400}},
+         "ion.coherence_time_tau_ms: expected a number > 0, got 1000"),
+        ("ti_qm", {"scenarios": {"ti_qm": {"snr": 10 ** 400}}},
+         "scenarios.ti_qm.snr: expected a number > 0, got 1000"),
+        ("afc_sweep", {"comb": {"finesse": 10 ** 400}},
+         "comb.finesse: expected a finite number or null, got 1000"),
+        ("budget", {"pump": {"ground_offsets": {"1/2g": 10 ** 400}}},
+         "pump.ground_offsets.1/2g: expected a finite number, got 1000"),
+        ("bandwidth_sweep", {"scenarios": {"bandwidth_sweep": {"df_start_mhz": -10 ** 400}}},
+         "scenarios.bandwidth_sweep.df_start_mhz: expected a finite number, got -1000"),
     ])
     def test_bad_value_exit_two(self, scenario, config, field, tmp_path, capsys):
         _assert_exit_two(tmp_path, capsys, scenario, config, field)

@@ -61,6 +61,10 @@ class TestAfcEfficiency:
         expected = -2 * math.pi * COMB_B ** 2 * (COMB.gamma_comb_khz * 1e3) ** 2
         assert coeffs[0] == pytest.approx(expected, rel=1e-6)
 
+    def test_nan_storage_time_rejected(self):
+        with pytest.raises(ValueError, match="storage time must be nonnegative"):
+            afc_efficiency(COMB, math.nan)
+
     def test_finesse_consistency_enforced(self):
         with pytest.raises(ValueError):
             CombParams(d=10.5, gamma_comb_khz=259.8, delta_mhz=2.0, finesse=5.0)

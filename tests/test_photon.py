@@ -71,6 +71,7 @@ class TestJitter:
         ("transceiver_rms_ns", float("-inf")),
         ("awg_rms_ns", "0.1"),
         ("awg_rms_ns", True),
+        ("transceiver_rms_ns", False),
     ])
     def test_non_finite_component_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be a finite number"):
