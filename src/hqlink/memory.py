@@ -40,7 +40,8 @@ class CombParams:
     def __post_init__(self):
         for name in ("d", "gamma_comb_khz", "delta_mhz", "bandwidth_mhz", "finesse"):
             v = getattr(self, name)
-            if v is not None and not (isinstance(v, Real) and math.isfinite(v)):
+            if v is not None and (isinstance(v, bool)
+                                  or not (isinstance(v, Real) and math.isfinite(v))):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
         if self.d <= 0:
             raise ValueError("absorption depth must be positive")

@@ -34,6 +34,10 @@ KRAUS_FLOOR = 1e-14
 # [m, n] holds P_n P_m, the products in the trace-preservation sum of a chi.
 _PAULI_PRODUCTS = PAULIS[None, :] @ PAULIS[:, None]
 _PAULI_PRODUCTS.flags.writeable = False
+# Least dark-noise weight p whose lift p/4 of every eigenvalue clears the
+# eigensolver's rounding error on a unit-trace 4x4 state (~1e-15) a
+# thousandfold; a lighter admixture takes the full eigenvalue check.
+_LIFT_MIN_WEIGHT = 4e-12
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,12 @@ def dark_noise_admixture(rho: DensityMatrix, snr: float) -> DensityMatrix:
     if snr < 0:
         raise ValueError("snr must be nonnegative")
     p = 1.0 / (snr + 1.0)
-    return DensityMatrix((1 - p) * rho.matrix + p * np.eye(4) / 4)
+    mixed = (1 - p) * rho.matrix + p * np.eye(4) / 4
+    if p < _LIFT_MIN_WEIGHT:
+        return DensityMatrix(mixed)
+    # every eigenvalue of the checked state rises by p/4, so the check's
+    # clip of rounding-level negatives cannot fire
+    return DensityMatrix._lifted(mixed)
 
 
 def dark_noise_infidelity(snr: float, dim: int = 4) -> float:

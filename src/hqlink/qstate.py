@@ -94,6 +94,21 @@ class PureState:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
+def _hermitian_with_trace(matrix, subnormalized: bool) -> tuple[np.ndarray, float]:
+    """A complex copy of a density-matrix candidate and its trace, after the
+    shape, Hermiticity and trace checks."""
+    m = _as_complex_matrix(matrix)
+    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+        raise StateError("density matrix is not Hermitian within tolerance")
+    tr = float(np.real(np.trace(m)))
+    if subnormalized:
+        if tr > 1.0 + TRACE_TOL or tr < -TRACE_TOL:
+            raise StateError(f"subnormalized trace {tr} outside [0, 1]")
+    elif abs(tr - 1.0) > TRACE_TOL:
+        raise StateError(f"trace {tr} deviates from 1 by more than {TRACE_TOL}")
+    return m, tr
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive-semidefinite matrix of dimension 2 or 4.
@@ -108,15 +123,7 @@ class DensityMatrix:
     subnormalized: bool = False
 
     def __post_init__(self):
-        m = _as_complex_matrix(self.matrix)
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-            raise StateError("density matrix is not Hermitian within tolerance")
-        tr = float(np.real(np.trace(m)))
-        if self.subnormalized:
-            if tr > 1.0 + TRACE_TOL or tr < -TRACE_TOL:
-                raise StateError(f"subnormalized trace {tr} outside [0, 1]")
-        elif abs(tr - 1.0) > TRACE_TOL:
-            raise StateError(f"trace {tr} deviates from 1 by more than {TRACE_TOL}")
+        m, tr = _hermitian_with_trace(self.matrix, self.subnormalized)
         evals = np.linalg.eigvalsh(m)
         if evals.min() < EIG_FLOOR:
             raise StateError(f"negative eigenvalue {evals.min()} below floor {EIG_FLOOR}")
@@ -129,6 +136,18 @@ class DensityMatrix:
                 m *= tr / w.sum()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _lifted(cls, matrix) -> "DensityMatrix":
+        """A normalized state whose eigenvalues are known to lie far above
+        rounding error, such as a checked state mixed with I/4: every check
+        of the constructor but the eigenvalue one, whose clip could not fire."""
+        m, _ = _hermitian_with_trace(matrix, False)
+        m.flags.writeable = False
+        state = object.__new__(cls)
+        object.__setattr__(state, "matrix", m)
+        object.__setattr__(state, "subnormalized", False)
+        return state
 
     @property
     def dim(self) -> int:
@@ -343,8 +362,8 @@ def matrix_to_json_dict(m: np.ndarray) -> dict:
     a = np.asarray(m, dtype=complex)
     return {
         "dim": a.shape[0],
-        "re": [round15(x) for x in a.real.reshape(-1)],
-        "im": [round15(x) for x in a.imag.reshape(-1)],
+        "re": [round15(x) for x in a.real.reshape(-1).tolist()],
+        "im": [round15(x) for x in a.imag.reshape(-1).tolist()],
     }
 
 

@@ -277,12 +277,20 @@ def emit_report(report: RunReport, out_dir: str | Path, fmt: str = "json") -> li
 
     summary = out / f"{stem}_summary.json"
     doc = report.to_json_dict()
-    summary.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    matrix = doc["matrix"]
+    text = json.dumps({**doc, "matrix": None}, indent=2, sort_keys=True) + "\n"
+    if matrix is not None:
+        # the matrix is encoded once; in the summary it sits one level deeper,
+        # on the top-level "matrix" line (two spaces: no nested key matches)
+        matrix_text = json.dumps(matrix, indent=2, sort_keys=True)
+        text = text.replace('\n  "matrix": null,\n',
+                            '\n  "matrix": ' + matrix_text.replace("\n", "\n  ") + ",\n", 1)
+    summary.write_text(text)
     written.append(summary)
 
-    if doc["matrix"] is not None:
+    if matrix is not None:
         path = out / f"{stem}_matrix.json"
-        path.write_text(json.dumps(doc["matrix"], indent=2, sort_keys=True) + "\n")
+        path.write_text(matrix_text + "\n")
         written.append(path)
     if report.budget_rows:
         path = out / f"{stem}_error_budget.csv"

@@ -51,8 +51,11 @@ class MeasurementSetting:
                 raise ValueError(f"axis {axis!r} not in {AXES}")
 
 
+_SETTINGS = tuple(MeasurementSetting(a, b) for a in AXES for b in AXES)
+
+
 def all_settings() -> list[MeasurementSetting]:
-    return [MeasurementSetting(a, b) for a in AXES for b in AXES]
+    return list(_SETTINGS)
 
 
 # (I + P) / 2 and (I - P) / 2 for the Paulis of AXES: [axis, sign] (3, 2, 2, 2).
@@ -62,7 +65,7 @@ _AXIS_PROJECTORS = (np.eye(2) + np.array([1, -1])[:, None, None] * PAULIS[[3, 1,
 _GRID = kron(_AXIS_PROJECTORS[:, None, :, None],
              _AXIS_PROJECTORS[None, :, None, :]).reshape(9, 4, 4, 4)
 _GRID.flags.writeable = False
-_PROJECTORS = dict(zip(all_settings(), _GRID))
+_PROJECTORS = dict(zip(_SETTINGS, _GRID))
 
 
 def setting_projectors(setting: MeasurementSetting) -> np.ndarray:
@@ -122,19 +125,18 @@ def simulate_tomography(rho: DensityMatrix, shots_per_setting, snr: float | None
     settings from one multinomial call; the draws match one multinomial draw
     per setting, over its born_probabilities, on the same generator.
     """
-    settings = all_settings()
     if isinstance(shots_per_setting, dict):
-        shots = [shots_per_setting[(s.ion_axis, s.photon_axis)] for s in settings]
+        shots = [shots_per_setting[(s.ion_axis, s.photon_axis)] for s in _SETTINGS]
     else:
-        shots = [int(shots_per_setting)] * len(settings)
+        shots = [int(shots_per_setting)] * len(_SETTINGS)
     if min(shots) <= 0:
         raise ValueError("shots must be positive")
     rng = as_rng(rng_seed)
     state = _with_dark_noise(rho, snr)
     p = np.clip(np.real(np.einsum("snij,ji->sn", _GRID, state.matrix)), 0.0, None)
     counts = rng.multinomial(shots, p / p.sum(axis=1, keepdims=True))
-    return [CountRecord(setting=s, counts=tuple(int(c) for c in row), shots=n)
-            for s, row, n in zip(settings, counts, shots)]
+    return [CountRecord(setting=s, counts=tuple(row), shots=n)
+            for s, row, n in zip(_SETTINGS, counts.tolist(), shots)]
 
 
 def split_heralds(total: int, n_settings: int = 9) -> list[int]:
@@ -146,7 +148,7 @@ def split_heralds(total: int, n_settings: int = 9) -> list[int]:
 # ---------------------------------------------------------------------------
 # maximum-likelihood reconstruction
 
-_SETTING_INDEX = {(s.ion_axis, s.photon_axis): k for k, s in enumerate(all_settings())}
+_SETTING_INDEX = {(s.ion_axis, s.photon_axis): k for k, s in enumerate(_SETTINGS)}
 # Design matrix of the grid: row 4 k + o holds outcome o of setting k, laid
 # out so that (_DESIGN @ rho.ravel()).real are the 36 outcome probabilities
 # (tr(P rho) = sum_ij P_ji rho_ij).
@@ -201,6 +203,9 @@ def _quadratic_forms() -> np.ndarray:
 
 _FORMS = _quadratic_forms()
 _FORMS_FLAT = _FORMS.reshape(36, 256)
+# The same forms as one (576, 16) matrix: M x for all n in one product.
+_FORMS_STACKED = _FORMS.reshape(576, 16)
+_EYE = np.eye(16)
 # Newton steps before the fit gives up; sampled counts converge in ~7.
 MAX_STEPS = 200
 # Stop once the gradient norm per count falls to this.
@@ -211,12 +216,13 @@ _ROUNDING = 1e-14
 
 def _evaluate(x: np.ndarray, weights: np.ndarray):
     """At x rescaled to unit norm: x, M x (36, 16), the outcome probabilities
-    x^T M_n x, the objective -sum_n w_n log p_n and its gradient."""
-    x = x / np.linalg.norm(x)
-    mx = _FORMS @ x
+    p_n = x^T M_n x, the ratios w_n / p_n, the objective -sum_n w_n log p_n
+    and its gradient."""
+    x = x / math.sqrt(x @ x)
+    mx = (_FORMS_STACKED @ x).reshape(36, 16)
     probs = np.maximum(mx @ x, 1e-300)
-    return (x, mx, probs, float(-(weights @ np.log(probs))),
-            2 * x - 2 * (weights / probs) @ mx)
+    ratio = weights / probs
+    return x, mx, probs, ratio, float(-(weights @ np.log(probs))), 2 * x - 2 * ratio @ mx
 
 
 def _backtrack(x: np.ndarray, step: np.ndarray, slope: float, value: float,
@@ -229,7 +235,7 @@ def _backtrack(x: np.ndarray, step: np.ndarray, slope: float, value: float,
     alpha = 1.0
     while alpha >= 1e-10:
         trial = _evaluate(x + alpha * step, weights)
-        if trial[3] <= value + 1e-4 * alpha * slope + _ROUNDING * value:
+        if trial[4] <= value + 1e-4 * alpha * slope + _ROUNDING * value:
             return trial
         alpha /= 2
     return None
@@ -244,26 +250,33 @@ def _start(rho: np.ndarray) -> np.ndarray:
 
 
 def _newton(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]:
-    """Up to MAX_STEPS damped Newton steps from x: the unit-norm end point and
-    its gradient norm per count."""
-    x, mx, probs, value, grad = _evaluate(x, weights)
+    """Up to MAX_STEPS damped Newton steps on the unit sphere from x: the
+    unit-norm end point and its gradient norm per count."""
+    x, mx, probs, ratio, value, grad = _evaluate(x, weights)
     for _ in range(MAX_STEPS):
-        grad_norm = np.linalg.norm(grad)
+        grad_norm = math.sqrt(grad @ grad)
         if not grad_norm > _STEP_TOL:
             break
-        # Hessian of f at |x| = 1: with r_n = w_n / p_n,
-        # 4 sum_n (r_n / p_n) (M_n x)(M_n x)^T - 4 x x^T - 2 sum_n r_n M_n + 2 I
-        ratio = weights / probs
-        hess = (4 * (mx.T * (ratio / probs)) @ mx - 4 * x[:, None] * x
-                - 2 * (ratio @ _FORMS_FLAT).reshape(16, 16))
-        hess.flat[::17] += 2
-        lam, vec = np.linalg.eigh(hess)
-        step = -vec @ ((vec.T @ grad) / (np.abs(lam) + 0.1 * grad_norm))
+        # Hessian of f at |x| = 1, with r_n = w_n / p_n,
+        # H = 4 sum_n (r_n / p_n) (M_n x)(M_n x)^T - 4 x x^T - 2 sum_n r_n M_n + 2 I.
+        # f is scale invariant, so H x = -g and x^T g = 0; the tangent-space
+        # Hessian P H P (P = I - x x^T) with a unit weight on x is
+        # H_t = H + x g^T + g x^T + x x^T, whose x x^T terms sum to -3 x x^T.
+        hess = ((mx.T * (4 * ratio / probs)) @ mx - 2 * (ratio @ _FORMS_FLAT).reshape(16, 16)
+                + x[:, None] * (grad - 3 * x) + grad[:, None] * x + 2 * _EYE)
+        damping = 0.1 * grad_norm
+        try:
+            np.linalg.cholesky(hess)
+        except np.linalg.LinAlgError:
+            lam, vec = np.linalg.eigh(hess)
+            step = -vec @ ((vec.T @ grad) / (np.abs(lam) + damping))
+        else:
+            step = np.linalg.solve(hess + damping * _EYE, -grad)
         trial = _backtrack(x, step, grad @ step, value, weights)
         if trial is None:
             break
-        x, mx, probs, value, grad = trial
-    return x, float(np.linalg.norm(grad))
+        x, mx, probs, ratio, value, grad = trial
+    return x, math.sqrt(grad @ grad)
 
 
 def mle_reconstruct(records: list[CountRecord]) -> DensityMatrix:
@@ -274,23 +287,30 @@ def mle_reconstruct(records: list[CountRecord]) -> DensityMatrix:
     (James et al., PRA 64, 052312, 2001).  Each outcome probability is a
     quadratic form x^T M_n x / x^T x, so with weights w_n = counts / total
     the objective f = -sum_n w_n log(x^T M_n x) + log(x^T x) has a
-    closed-form gradient and Hessian.  From the linear-inversion start, with
-    its eigenvalues clipped to a small floor, each step is a saddle-free
-    Newton step with Levenberg-Marquardt damping,
-    d = -V diag(1 / (|lambda| + 0.1 |g|)) V^T g over the eigenpairs of the
-    Hessian, shortened by Armijo backtracking; x is then rescaled to unit
-    norm, which leaves f unchanged.  A diagonal entry of T that heads for 0
-    while the optimum has full rank can stall the steps; a fit that stops
-    above ``GRADIENT_TOL`` therefore starts once more from its own state,
-    with the eigenvalues floored again.  Raises NonConvergenceError when the
-    result is not finite or its final gradient norm per count still exceeds
+    closed-form gradient g and Hessian H.  f does not change when x is
+    rescaled, so H x = -g and H has a negative eigenvalue at every point
+    short of the optimum; the steps therefore run on the unit sphere
+    (Absil, Mahony & Sepulchre, 2008).  From the linear-inversion start,
+    with its eigenvalues clipped to a small floor, each step is a damped
+    Newton step on the tangent space, with the Hessian
+    H_t = P H P + x x^T (P = I - x x^T): d = -(H_t + 0.1 |g| I)^-1 g when a
+    Cholesky factorization shows H_t positive definite (most steps), and
+    otherwise the saddle-free step d = -V diag(1 / (|lambda| + 0.1 |g|)) V^T g
+    over the eigenpairs of H_t.  Armijo backtracking shortens the step, and
+    x is rescaled to unit norm, which leaves f unchanged.  A diagonal entry
+    of T that heads for 0 while the optimum has full rank can stall the
+    steps, which then crawl for MAX_STEPS and may stop either side of
+    ``GRADIENT_TOL``; a first pass that stops short of convergence (above
+    _STEP_TOL) therefore starts once more from its own state, with the
+    eigenvalues floored again.  Raises NonConvergenceError when the result
+    is not finite or its final gradient norm per count still exceeds
     ``GRADIENT_TOL``.
     """
     counts, shots = _grid_counts(records)
     weights = counts.ravel() / counts.sum()
     rho = (_DESIGN_PINV @ (counts / shots[:, None]).ravel()).reshape(4, 4)
     x, grad_norm = _newton(_start(rho), weights)
-    if grad_norm > GRADIENT_TOL:
+    if grad_norm > _STEP_TOL:
         t = _unpack_lower(x)
         x, grad_norm = _newton(_start(t @ t.conj().T), weights)
     if not grad_norm <= GRADIENT_TOL:  # also catches a non-finite result

@@ -10,13 +10,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hqlink
 import hqlink.cli as cli
+from hqlink.budget import ErrorSource
 from hqlink.config import BUDGET_KEYS, ConfigError, ExperimentConfig, default_config_dict
 from hqlink.qstate import StateError
-from hqlink.scenarios import analytic_fidelity, emit_report, run
+from hqlink.scenarios import RunReport, analytic_fidelity, emit_report, run
 from hqlink.tomography import NonConvergenceError
 
 
@@ -126,6 +130,36 @@ class TestScenarioRuns:
         assert data["matrix"] is None
         # round-trip stable: rewriting the parsed document changes nothing
         assert json.dumps(data, indent=2, sort_keys=True) + "\n" == summary.read_text()
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(), min_size=32, max_size=32), with_matrix=st.booleans())
+    @example(values=[-0.0, 5e-324, 1e308, -1e308, -2.5, 0.1, -5e-324, 1.0] * 4,
+             with_matrix=True)
+    @example(values=[math.inf, -math.inf, math.nan, -0.0] * 8, with_matrix=True)
+    @example(values=[0.0] * 32, with_matrix=False)
+    def test_summary_and_matrix_files_are_one_encode_each(self, tmp_path_factory, values,
+                                                           with_matrix):
+        # emit_report encodes the matrix once and indents it into the summary;
+        # both files keep the layout of a plain json.dumps of their document
+        report = RunReport(scenario="ti_qm", seed=3)
+        report.add("mle_fidelity", values[0], values[1])
+        report.add("matrix", values[2])  # a nested key of the same name
+        report.budget_rows = [ErrorSource("jitter", 0.0, '\n  "matrix": null,\n')]
+        report.rate_table = [("r_369", values[3])]
+        report.breakdown = [("emission", values[4])]
+        if with_matrix:
+            report.matrix = np.empty((4, 4), dtype=complex)
+            report.matrix.real = np.reshape(values[:16], (4, 4))
+            report.matrix.imag = np.reshape(values[16:], (4, 4))
+        out = tmp_path_factory.mktemp("report")
+        files = {f.name: f.read_text() for f in emit_report(report, out)}
+        doc = report.to_json_dict()
+        assert files["ti_qm_seed3_summary.json"] == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        if with_matrix:
+            assert files["ti_qm_seed3_matrix.json"] == (
+                json.dumps(doc["matrix"], indent=2, sort_keys=True) + "\n")
+        else:
+            assert "ti_qm_seed3_matrix.json" not in files
 
     def test_sweep_csv_shapes(self, tmp_path):
         rep = run(ExperimentConfig.defaults("bandwidth_sweep"))

@@ -65,6 +65,14 @@ class TestAfcEfficiency:
         with pytest.raises(ValueError, match="storage time must be nonnegative"):
             afc_efficiency(COMB, math.nan)
 
+    @pytest.mark.parametrize("name", ["d", "gamma_comb_khz", "delta_mhz", "bandwidth_mhz",
+                                      "finesse"])
+    def test_boolean_field_rejected(self, name):
+        fields = {"d": 10.5, "gamma_comb_khz": 259.8, "delta_mhz": 2.0, "bandwidth_mhz": 48.2,
+                  "finesse": None, name: True}
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number, got True$"):
+            CombParams(**fields)
+
     def test_finesse_consistency_enforced(self):
         with pytest.raises(ValueError):
             CombParams(d=10.5, gamma_comb_khz=259.8, delta_mhz=2.0, finesse=5.0)

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hqlink.photon import (
+    _LIFT_MIN_WEIGHT,
     JitterParams,
     ProcessMatrix,
     dark_noise_admixture,
@@ -25,6 +28,7 @@ from hqlink.photon import (
 from hqlink.qstate import (
     PAULIS,
     DensityMatrix,
+    PureState,
     StateError,
     X,
     apply_channel,
@@ -38,6 +42,26 @@ def random_state(rng, dim=4):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m).real)
+
+
+def _gram_state(parts):
+    g = np.reshape(parts[:16], (4, 4)) + 1j * np.reshape(parts[16:], (4, 4))
+    m = g @ g.conj().T
+    return DensityMatrix(m / np.trace(m).real)
+
+
+def _pure_state(parts):
+    v = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    return PureState(v / np.linalg.norm(v)).density()
+
+
+# Two-qubit states of every rank: G G^dag / tr for a complex G, and pure
+# states, whose checked matrices can hold rounding-level negative eigenvalues.
+VALID_STATES = st.one_of(
+    st.lists(st.floats(-1, 1), min_size=32, max_size=32)
+    .filter(lambda x: np.dot(x, x) > 1e-12).map(_gram_state),
+    st.lists(st.floats(-1, 1), min_size=8, max_size=8)
+    .filter(lambda x: np.dot(x, x) > 1e-12).map(_pure_state))
 
 
 class TestJitter:
@@ -134,6 +158,23 @@ class TestDarkNoise:
     def test_zero_snr_fully_mixed(self):
         out = dark_noise_admixture(bell_state(0.0).density(), 0.0)
         np.testing.assert_allclose(out.matrix, np.eye(4) / 4, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rho=VALID_STATES, snr=st.floats(min_value=0.0))
+    @example(rho=bell_state(0.3).density(), snr=math.inf)
+    @example(rho=bell_state(0.3).density(), snr=1e300)
+    @example(rho=bell_state(0.3).density(), snr=28.0)
+    def test_mixture_keeps_every_bit_of_the_full_check(self, rho, snr):
+        out = dark_noise_admixture(rho, snr)
+        p = 1.0 / (snr + 1.0)
+        checked = DensityMatrix((1 - p) * rho.matrix + p * np.eye(4) / 4)
+        assert out.matrix.tobytes() == checked.matrix.tobytes()
+        again = DensityMatrix(out.matrix)
+        if p >= _LIFT_MIN_WEIGHT:
+            # the eigenvalue check skipped on the lifted mixture changes nothing;
+            # a lighter admixture ran the check itself, and the check's clip of a
+            # rank-deficient state need not be idempotent
+            assert again.matrix.tobytes() == out.matrix.tobytes()
 
     def test_commutes_with_pbs(self):
         rng = np.random.default_rng(4)

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqlink import tomography
 from hqlink.config import BUDGET_KEYS, ExperimentConfig
@@ -191,20 +193,36 @@ class TestMle:
             mle_reconstruct(recs)
         assert err.value.gradient_norm > tomography.GRADIENT_TOL > 0
 
-    @pytest.mark.parametrize("scenario", ["ti_qm", "ion_photon", "post_qfc"])
-    def test_sampled_fits_are_optimal(self, scenario):
-        # low-count mixed states (ti_qm, post_qfc at SNR 19.5) and a bright
-        # near-pure state (ion_photon)
-        cfg = ExperimentConfig.defaults(scenario)
-        sec = cfg.scenario_section()
-        total = sec[BUDGET_KEYS[scenario]]
-        state, _, _ = analytic_pipeline_state(cfg, scenario)
-        source = dark_noise_admixture(state, sec["snr"]).matrix
+    @pytest.mark.parametrize("scenario", ["ti_qm", "ion_photon", "post_qfc", "bell"])
+    def test_sampled_fits_are_optimal(self, scenario, monkeypatch):
+        # low-count mixed states (ti_qm, post_qfc at SNR 19.5), a bright
+        # near-pure state (ion_photon) and a pure Bell state at SNR inf
+        if scenario == "bell":
+            state, snr, total = bell_state(0.0).density(), math.inf, 1780
+            source = state.matrix
+        else:
+            cfg = ExperimentConfig.defaults(scenario)
+            sec = cfg.scenario_section()
+            state, _, _ = analytic_pipeline_state(cfg, scenario)
+            snr, total = sec["snr"], sec[BUDGET_KEYS[scenario]]
+            source = dark_noise_admixture(state, snr).matrix
         shots = {(s.ion_axis, s.photon_axis): n
                  for s, n in zip(all_settings(), split_heralds(total))}
+        branches = count_step_branches(monkeypatch)
         for i in range(10):
-            recs = simulate_tomography(state, shots, sec["snr"], child_rng(i, scenario))
+            recs = simulate_tomography(state, shots, snr, child_rng(i, scenario))
             assert_optimal(recs, mle_reconstruct(recs).matrix, source)
+        assert branches["cholesky"] > 0
+        if scenario != "bell":  # the Bell fits here take Cholesky steps only
+            assert branches["eigen"] > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 300), min_size=4, max_size=4)
+                    .filter(lambda row: sum(row) > 0), min_size=9, max_size=9)
+           .filter(lambda table: any(0 in row for row in table)))
+    def test_fits_of_count_tables_with_empty_outcomes_are_optimal(self, table):
+        recs = [CountRecord(s, tuple(c), sum(c)) for s, c in zip(all_settings(), table)]
+        assert_optimal(recs, mle_reconstruct(recs).matrix, np.eye(4) / 4)
 
     def test_stalled_ti_qm_dataset_converges(self):
         # ti_qm counts (child_rng(1687856765, "tomography")) on which the first
@@ -221,6 +239,23 @@ class TestMle:
         assert_optimal(recs, m, source)
         assert np.linalg.eigvalsh(m).min() > 1e-3
 
+    def test_crawl_stopping_under_gradient_tol_restarts(self):
+        # post_qfc counts (child_rng(77828, "tomography")) on which the first
+        # Newton pass crawls for MAX_STEPS with a diagonal entry of T near 0
+        # and stops at a gradient norm of 9.4e-6 per count, under
+        # GRADIENT_TOL, with the log-likelihood 2e-3 short of its maximum;
+        # the optimum has full rank
+        table = [[150, 7, 8, 137], [81, 74, 76, 71], [67, 81, 72, 82], [69, 84, 67, 82],
+                 [136, 10, 14, 142], [90, 70, 87, 54], [83, 73, 78, 67], [75, 79, 64, 83],
+                 [10, 135, 143, 13]]
+        recs = [CountRecord(s, tuple(c), sum(c)) for s, c in zip(all_settings(), table)]
+        cfg = ExperimentConfig.defaults("post_qfc")
+        state, _, _ = analytic_pipeline_state(cfg, "post_qfc")
+        source = dark_noise_admixture(state, cfg.scenario_section()["snr"]).matrix
+        m = mle_reconstruct(recs).matrix
+        assert_optimal(recs, m, source)
+        assert np.linalg.eigvalsh(m).min() > 1e-3
+
     def test_restart_only_when_first_pass_stalls(self, monkeypatch):
         # a fit that converges in one pass returns that pass's state untouched
         calls = []
@@ -230,12 +265,24 @@ class TestMle:
         recs = simulate_tomography(werner(0.85), 200, 28.0, child_rng(3, "restart"))
         mle_reconstruct(recs)
         assert len(calls) == 1
-        table = [[85, 3, 7, 103], [49, 65, 42, 42], [64, 50, 41, 43], [55, 53, 38, 52],
-                 [93, 7, 6, 92], [57, 50, 44, 47], [52, 42, 50, 54], [40, 48, 54, 55],
-                 [10, 95, 88, 4]]
-        mle_reconstruct([CountRecord(s, tuple(c), sum(c))
-                         for s, c in zip(all_settings(), table)])
-        assert len(calls) == 3
+
+        # a first pass that stops where it started, short of convergence
+        # (above or under GRADIENT_TOL), is followed by exactly one more, from
+        # its own state
+        cfg = ExperimentConfig.defaults("ti_qm")
+        state, _, _ = analytic_pipeline_state(cfg, "ti_qm")
+        snr = cfg.scenario_section()["snr"]
+        recs = simulate_tomography(state, 198, snr, child_rng(3, "restart"))
+        for stalled_norm in (10 * tomography.GRADIENT_TOL, tomography.GRADIENT_TOL / 10):
+            def stalled_first_pass(x, w):
+                calls.append(1)
+                return (x, stalled_norm) if len(calls) == 1 else newton(x, w)
+
+            calls.clear()
+            monkeypatch.setattr(tomography, "_newton", stalled_first_pass)
+            assert_optimal(recs, mle_reconstruct(recs).matrix,
+                           dark_noise_admixture(state, snr).matrix)
+            assert len(calls) == 2
 
     def test_start_is_full_rank_cholesky_factor(self):
         # a rank-1 input (the Bell state) floored to full rank at unit trace
@@ -247,6 +294,29 @@ class TestMle:
         assert w.min() == pytest.approx(tomography._START_FLOOR / (1 + 3 * tomography._START_FLOOR),
                                         rel=1e-6)
         assert fidelity(DensityMatrix(rho), bell_state(0.0)) > 0.999
+
+
+def count_step_branches(monkeypatch) -> dict:
+    """Count the Newton steps that take the Cholesky branch (its linear solve)
+    and those that fall back to the eigen step (a failed Cholesky); a fit
+    has no other solve and no other failed Cholesky."""
+    branches = {"cholesky": 0, "eigen": 0}
+    cholesky, solve = np.linalg.cholesky, np.linalg.solve
+
+    def counted_cholesky(a):
+        try:
+            return cholesky(a)
+        except np.linalg.LinAlgError:
+            branches["eigen"] += 1
+            raise
+
+    def counted_solve(a, b):
+        branches["cholesky"] += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    return branches
 
 
 def assert_optimal(recs, m, source):
