@@ -160,8 +160,8 @@ def dark_noise_admixture(rho: DensityMatrix, snr: float) -> DensityMatrix:
     """
     if rho.dim != 4:
         raise StateError("dark noise admixture expects a two-qubit state")
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
+    if not snr >= 0:  # also catches NaN
+        raise ValueError(f"snr must be nonnegative, got {snr}")
     p = 1.0 / (snr + 1.0)
     mixed = (1 - p) * rho.matrix + p * np.eye(4) / 4
     if p < _LIFT_MIN_WEIGHT:

@@ -17,6 +17,7 @@ Z (x) Z evaluates to +1 on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,7 @@ class PureState:
         if amps.size not in (2, 4):
             raise StateError(f"pure state dimension must be 2 or 4, got {amps.size}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # also catches NaN
             raise StateError(f"pure state norm {norm} deviates from 1 by more than {NORM_TOL}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -96,15 +97,16 @@ class PureState:
 
 def _hermitian_with_trace(matrix, subnormalized: bool) -> tuple[np.ndarray, float]:
     """A complex copy of a density-matrix candidate and its trace, after the
-    shape, Hermiticity and trace checks."""
+    shape, Hermiticity and trace checks.  A NaN or infinite entry fails the
+    Hermiticity check, since m - m^dag is NaN there."""
     m = _as_complex_matrix(matrix)
-    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+    if not np.abs(m - m.conj().T).max() <= HERMITIAN_TOL:
         raise StateError("density matrix is not Hermitian within tolerance")
-    tr = float(np.real(np.trace(m)))
+    tr = float(m.trace().real)
     if subnormalized:
-        if tr > 1.0 + TRACE_TOL or tr < -TRACE_TOL:
+        if not -TRACE_TOL <= tr <= 1.0 + TRACE_TOL:
             raise StateError(f"subnormalized trace {tr} outside [0, 1]")
-    elif abs(tr - 1.0) > TRACE_TOL:
+    elif not abs(tr - 1.0) <= TRACE_TOL:
         raise StateError(f"trace {tr} deviates from 1 by more than {TRACE_TOL}")
     return m, tr
 
@@ -125,7 +127,7 @@ class DensityMatrix:
     def __post_init__(self):
         m, tr = _hermitian_with_trace(self.matrix, self.subnormalized)
         evals = np.linalg.eigvalsh(m)
-        if evals.min() < EIG_FLOOR:
+        if not evals.min() >= EIG_FLOOR:
             raise StateError(f"negative eigenvalue {evals.min()} below floor {EIG_FLOOR}")
         if evals.min() < 0.0:
             # clip rounding-level negatives, rescale to the original trace
@@ -183,7 +185,7 @@ class Observable:
 
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix)
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+        if not np.abs(m - m.conj().T).max() <= HERMITIAN_TOL:
             raise StateError("observable is not Hermitian within tolerance")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -217,11 +219,11 @@ class QuantumChannel:
         ops = _read_only(np.array(ops, dtype=complex))
         total = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
         if self.trace_preserving:
-            if np.max(np.abs(total - np.eye(ops.shape[1]))) > CPTP_TOL:
+            if not np.abs(total - np.eye(ops.shape[1])).max() <= CPTP_TOL:
                 raise StateError("Kraus operators do not sum to identity")
-        else:
-            if np.linalg.eigvalsh(total).max() > 1.0 + CPTP_TOL:
-                raise StateError("trace-decreasing channel exceeds identity")
+        elif not (np.isfinite(total).all()
+                  and np.linalg.eigvalsh(total).max() <= 1.0 + CPTP_TOL):
+            raise StateError("trace-decreasing channel exceeds identity")
         object.__setattr__(self, "kraus_ops", ops)
 
     @property
@@ -239,7 +241,7 @@ def fidelity(rho: DensityMatrix, target: PureState) -> float:
         raise StateError(f"dimension mismatch: state {rho.dim}, target {target.dim}")
     v = target.amplitudes
     val = complex(v.conj() @ rho.matrix @ v)
-    if abs(val.imag) > HERMITIAN_TOL:
+    if not abs(val.imag) <= HERMITIAN_TOL:
         raise StateError(f"fidelity has imaginary part {val.imag}")
     return float(min(max(val.real, 0.0), 1.0))
 
@@ -259,7 +261,7 @@ def expectation(rho: DensityMatrix, obs: Observable) -> float:
     if rho.dim != obs.dim:
         raise StateError(f"dimension mismatch: state {rho.dim}, observable {obs.dim}")
     val = complex(np.trace(rho.matrix @ obs.matrix))
-    if abs(val.imag) > 1e-9:
+    if not abs(val.imag) <= 1e-9:
         raise StateError(f"expectation has imaginary part {val.imag}")
     return float(val.real)
 
@@ -276,12 +278,26 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 # constructors for common states and channels
 
 
-def bell_state(phi: float = 0.0) -> PureState:
-    """(|1'>|sigma+> + e^{i phi} |1>|sigma->)/sqrt(2) in the package ordering."""
+def _bell_state(phi: float) -> PureState:
     amps = np.zeros(4, dtype=complex)
     amps[0] = 1 / np.sqrt(2)
     amps[3] = np.exp(1j * phi) / np.sqrt(2)
     return PureState(amps)
+
+
+# The phase-zero target, built once: every fidelity in the package is taken
+# against it.  PureState is frozen and its amplitudes read-only.
+_BELL_0 = _bell_state(0.0)
+
+
+def bell_state(phi: float = 0.0) -> PureState:
+    """(|1'>|sigma+> + e^{i phi} |1>|sigma->)/sqrt(2) in the package ordering.
+
+    Phase +0.0 returns one shared state (-0.0 builds its own, whose
+    amplitude carries the signed zero)."""
+    if phi == 0.0 and math.copysign(1.0, phi) > 0.0:
+        return _BELL_0
+    return _bell_state(phi)
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
@@ -359,12 +375,13 @@ def bitflip_channel(prob: float, subsystem: int | None = None) -> QuantumChannel
 
 
 def matrix_to_json_dict(m: np.ndarray) -> dict:
+    """{dim, re, im}, every entry rounded as round15 does, all in one
+    "%.15g" formatting pass."""
     a = np.asarray(m, dtype=complex)
-    return {
-        "dim": a.shape[0],
-        "re": [round15(x) for x in a.real.reshape(-1).tolist()],
-        "im": [round15(x) for x in a.imag.reshape(-1).tolist()],
-    }
+    n = a.size
+    values = np.concatenate((a.real.reshape(-1), a.imag.reshape(-1))).tolist()
+    rounded = list(map(float, ("%.15g " * len(values) % tuple(values)).split()))
+    return {"dim": a.shape[0], "re": rounded[:n], "im": rounded[n:]}
 
 
 def matrix_from_json_dict(d: dict) -> np.ndarray:

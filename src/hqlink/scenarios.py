@@ -11,6 +11,7 @@ of matched infidelity.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -262,6 +263,32 @@ def _run_bandwidth_sweep(cfg: ExperimentConfig) -> RunReport:
 # report emission
 
 
+def _write(path: Path, text: str) -> Path:
+    """Create or truncate ``path`` and write ``text`` to it as UTF-8 bytes,
+    in one write call unless the kernel takes fewer bytes."""
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+    return path
+
+
+def _matrix_json(matrix: dict) -> str:
+    """json.dumps(matrix, indent=2, sort_keys=True) of a {dim, re, im}
+    document.  indent= makes json fall back to its pure-Python encoder, so
+    the two float lists go through the C encoder in one call and are then
+    laid out one entry per line (no float's text holds "," or "]")."""
+    im, re = json.dumps((matrix["im"], matrix["re"]))[2:-2].split("], [")
+
+    def column(text: str) -> str:
+        return "[\n    " + text.replace(", ", ",\n    ") + "\n  ]" if text else "[]"
+    return (f'{{\n  "dim": {matrix["dim"]},\n  "im": {column(im)},'
+            f'\n  "re": {column(re)}\n}}')
+
+
 def emit_report(report: RunReport, out_dir: str | Path, fmt: str = "json") -> list[Path]:
     """Write the report files; filenames embed scenario and seed.
 
@@ -273,53 +300,38 @@ def emit_report(report: RunReport, out_dir: str | Path, fmt: str = "json") -> li
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{report.scenario}_seed{report.seed}"
-    written: list[Path] = []
 
-    summary = out / f"{stem}_summary.json"
     doc = report.to_json_dict()
     matrix = doc["matrix"]
     text = json.dumps({**doc, "matrix": None}, indent=2, sort_keys=True) + "\n"
     if matrix is not None:
         # the matrix is encoded once; in the summary it sits one level deeper,
         # on the top-level "matrix" line (two spaces: no nested key matches)
-        matrix_text = json.dumps(matrix, indent=2, sort_keys=True)
+        matrix_text = _matrix_json(matrix)
         text = text.replace('\n  "matrix": null,\n',
                             '\n  "matrix": ' + matrix_text.replace("\n", "\n  ") + ",\n", 1)
-    summary.write_text(text)
-    written.append(summary)
+    written = [_write(out / f"{stem}_summary.json", text)]
 
     if matrix is not None:
-        path = out / f"{stem}_matrix.json"
-        path.write_text(matrix_text + "\n")
-        written.append(path)
+        written.append(_write(out / f"{stem}_matrix.json", matrix_text + "\n"))
     if report.budget_rows:
-        path = out / f"{stem}_error_budget.csv"
-        path.write_text(bd.error_budget_csv(report.budget_rows))
-        written.append(path)
+        written.append(_write(out / f"{stem}_error_budget.csv",
+                              bd.error_budget_csv(report.budget_rows)))
     if report.stage_table:
-        path = out / f"{stem}_stages.csv"
-        path.write_text(bd.stage_table_csv(report.stage_table))
-        written.append(path)
+        written.append(_write(out / f"{stem}_stages.csv", bd.stage_table_csv(report.stage_table)))
     if report.rate_table:
-        path = out / f"{stem}_rates.csv"
-        path.write_text(bd.rate_table_csv(report.rate_table))
-        written.append(path)
+        written.append(_write(out / f"{stem}_rates.csv", bd.rate_table_csv(report.rate_table)))
     if report.sweep:
-        path = out / f"{stem}_sweep.csv"
         lines = [",".join(report.sweep_columns)]
         lines += [",".join(f"{v:.15g}" for v in row) for row in report.sweep]
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
+        written.append(_write(out / f"{stem}_sweep.csv", "\n".join(lines) + "\n"))
     if report.counts_records:
-        path = out / f"{stem}_counts.csv"
-        path.write_text(tomography.records_to_csv(report.counts_records))
-        written.append(path)
+        written.append(_write(out / f"{stem}_counts.csv",
+                              tomography.records_to_csv(report.counts_records)))
     if fmt == "csv":
-        path = out / f"{stem}_summary.csv"
         lines = ["statistic,value,stddev_or_exact"]
         for name, entry in sorted(report.statistics.items()):
             tag = "exact" if entry.get("exact") else f"{entry.get('stddev'):.15g}"
             lines.append(f"{name},{entry['value']:.15g},{tag}")
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
+        written.append(_write(out / f"{stem}_summary.csv", "\n".join(lines) + "\n"))
     return written

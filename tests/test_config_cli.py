@@ -161,6 +161,17 @@ class TestScenarioRuns:
         else:
             assert "ti_qm_seed3_matrix.json" not in files
 
+    def test_rewritten_report_files_are_truncated(self, tmp_path):
+        # a second report into the same directory replaces every file whole,
+        # also where the old file was longer
+        report = RunReport(scenario="ti_qm", seed=3)
+        report.matrix = np.eye(4, dtype=complex) / 4
+        first = {f.name: f.read_bytes() for f in emit_report(report, tmp_path)}
+        for name in first:
+            (tmp_path / name).write_bytes(b"x" * 10_000)
+        again = {f.name: f.read_bytes() for f in emit_report(report, tmp_path)}
+        assert again == first
+
     def test_sweep_csv_shapes(self, tmp_path):
         rep = run(ExperimentConfig.defaults("bandwidth_sweep"))
         files = emit_report(rep, tmp_path)

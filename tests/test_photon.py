@@ -155,6 +155,11 @@ class TestDarkNoise:
         out = dark_noise_admixture(rho, 1e15)
         np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
 
+    @pytest.mark.parametrize("snr", [-1.0, math.nan])
+    def test_negative_or_nan_snr_rejected(self, snr):
+        with pytest.raises(ValueError, match="snr must be nonnegative"):
+            dark_noise_admixture(bell_state(0.0).density(), snr)
+
     def test_zero_snr_fully_mixed(self):
         out = dark_noise_admixture(bell_state(0.0).density(), 0.0)
         np.testing.assert_allclose(out.matrix, np.eye(4) / 4, atol=1e-12)

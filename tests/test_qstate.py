@@ -1,7 +1,11 @@
 """Core state/channel algebra tests."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hqlink.qstate import (
     PAULIS,
@@ -25,6 +29,7 @@ from hqlink.qstate import (
     matrix_from_json_dict,
     matrix_to_json_dict,
     maximally_mixed,
+    round15,
     trace_distance,
     werner,
     white_noise_channel,
@@ -49,6 +54,17 @@ def test_bell_state_superposes_matching_basis_products():
     a = np.kron([1, 0], [1, 0])
     b = np.kron([0, 1], [0, 1])
     np.testing.assert_allclose(bell_state(0.0).amplitudes, (a + b) / np.sqrt(2), atol=1e-15)
+
+
+def test_phase_zero_bell_state_is_one_shared_read_only_state():
+    target = bell_state(0.0)
+    assert bell_state() is target and bell_state(0) is target
+    with pytest.raises(ValueError):
+        target.amplitudes[3] = 0.0
+    # the same bits as the formula, also where e^{i phi} may carry a -0.0
+    for phi in (0.0, -0.0, 0.3):
+        amps = np.array([1, 0, 0, np.exp(1j * phi)]) / np.sqrt(2)
+        assert bell_state(phi).amplitudes.tobytes() == amps.tobytes()
 
 
 def signed_zero_matrix(rng, dim):
@@ -264,6 +280,32 @@ class TestValidation:
         with pytest.raises(StateError):
             QuantumChannel((np.eye(2, dtype=complex) * 1.1,), trace_preserving=False)
 
+    def test_nan_pure_state_rejected(self):
+        with pytest.raises(StateError, match="norm nan"):
+            PureState(np.array([np.nan, 1.0]))
+
+    @pytest.mark.parametrize("subnormalized", [False, True])
+    def test_nan_off_diagonals_rejected(self, subnormalized):
+        m = np.array([[0.5, np.nan], [np.nan, 0.5]], dtype=complex)
+        with pytest.raises(StateError, match="not Hermitian"):
+            DensityMatrix(m, subnormalized=subnormalized)
+
+    def test_nan_matrix_rejected_before_eigenvalues(self):
+        # np.linalg.eigvalsh raises LinAlgError on an all-NaN matrix
+        with pytest.raises(StateError, match="not Hermitian"):
+            DensityMatrix(np.full((4, 4), np.nan, dtype=complex))
+
+    def test_nan_observable_rejected(self):
+        with pytest.raises(StateError, match="not Hermitian"):
+            Observable(np.full((2, 2), np.nan))
+
+    @pytest.mark.parametrize("trace_preserving, message", [
+        (True, "do not sum to identity"), (False, "exceeds identity")])
+    def test_nan_kraus_operators_rejected(self, trace_preserving, message):
+        ops = (np.eye(2) / np.sqrt(2), np.array([[np.nan, 0], [0, 0.5]]))
+        with pytest.raises(StateError, match=message):
+            QuantumChannel(ops, trace_preserving=trace_preserving)
+
     @pytest.mark.parametrize("ops, message", [
         ((), "channel needs at least one Kraus operator"),
         (np.zeros((0, 2, 2)), "channel needs at least one Kraus operator"),
@@ -311,6 +353,18 @@ class TestSerialization:
         m = matrix_from_json_dict(d1)
         d2 = matrix_to_json_dict(m)
         assert d1 == d2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), min_size=8, max_size=8))
+    @example([-0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan, 0.1])
+    @example([1e15, 123456789012345.67, -2.5e-5, 1.0, 0.0, -5e-324, 1e16, 0.3])
+    def test_one_pass_rounding_matches_round15(self, values):
+        # bit for bit: the hex of every entry, NaN and signed zeros included
+        m = np.empty((2, 2), dtype=complex)
+        m.real, m.imag = np.reshape(values[:4], (2, 2)), np.reshape(values[4:], (2, 2))
+        d = matrix_to_json_dict(m)
+        for key, part in (("re", m.real), ("im", m.imag)):
+            assert [v.hex() for v in d[key]] == [round15(v).hex() for v in part.ravel()]
 
     def test_dim_preserved(self):
         d = matrix_to_json_dict(np.eye(2, dtype=complex) / 2)

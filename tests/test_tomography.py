@@ -146,6 +146,31 @@ class TestSimulateCounts:
         with pytest.raises(ValueError):
             MeasurementSetting("Q", "Z")
 
+    @pytest.mark.parametrize("counts, shots, message", [
+        ((math.nan, 1, 1, 1), 3, "counts sum nan"),
+        ((1, math.nan, 1, 1), 3, "counts sum nan"),
+        ((1, 1, 1, 1), math.nan, "!= shots nan"),
+        ((math.inf, 0, 0, 0), math.inf, "counts sum inf"),
+        ((True, 0, 0, 0), 1, "booleans"),
+        ((1, 0, 0, 0), True, "booleans"),
+        ((np.bool_(True), 0, 0, 0), 1, "booleans"),
+    ])
+    def test_record_rejects_nan_and_booleans(self, counts, shots, message):
+        with pytest.raises(ValueError, match=message):
+            CountRecord(MeasurementSetting("Z", "Z"), counts, shots)
+
+    @pytest.mark.parametrize("counts, shots", [
+        ((1, 2, 3, 4), 10),
+        ((0.25, 0.25, 0.5, 0.0), 1.0),
+        (tuple(np.array([1, 2, 3, 4])), np.int64(10)),
+        (tuple(np.array([0.1, 0.2, 0.3, 0.4])), 1),
+        ((0, 0, 0, 0), 0),
+    ])
+    def test_record_takes_int_and_float_counts(self, counts, shots):
+        rec = CountRecord(MeasurementSetting("Z", "X"), counts, shots)
+        assert rec.counts == tuple(float(c) for c in counts)
+        assert all(type(c) is float for c in rec.counts)
+
 
 class TestMle:
     def test_flat_counts_recover_maximally_mixed(self):
@@ -164,6 +189,20 @@ class TestMle:
             rho = random_state(rng)
             est = mle_reconstruct(records_from_probabilities(rho))
             assert trace_distance(est, rho) < 1e-6
+
+    def test_repeated_settings_add_up(self):
+        # records in any order, and a setting split across two records, fit
+        # to the same matrix as the in-order table
+        recs = simulate_tomography(werner(0.85), 200, 28.0, child_rng(12, "grid"))
+        expected = mle_reconstruct(recs).matrix.tobytes()
+        shuffled = [recs[k] for k in np.random.default_rng(3).permutation(len(recs))]
+        assert mle_reconstruct(shuffled).matrix.tobytes() == expected
+        whole = recs[4]
+        half = tuple(c // 2 for c in whole.counts)
+        rest = tuple(c - h for c, h in zip(whole.counts, half))
+        split = (recs[:4] + [CountRecord(whole.setting, half, sum(half))] + recs[5:]
+                 + [CountRecord(whole.setting, rest, sum(rest))])
+        assert mle_reconstruct(split).matrix.tobytes() == expected
 
     def test_missing_setting_rejected(self):
         recs = records_from_probabilities(werner(0.5))[:-1]
@@ -296,26 +335,44 @@ class TestMle:
         assert fidelity(DensityMatrix(rho), bell_state(0.0)) > 0.999
 
 
+def test_step_kernels_match_numpy_linalg():
+    # the Newton step's Cholesky test and solve against the public wrappers:
+    # the same branch and the same bits, and no warning when Cholesky fails
+    rng = np.random.default_rng(31)
+    outcomes = set()
+    for shift in np.linspace(-1.0, 1.0, 41):
+        g = rng.normal(size=(16, 16))
+        a = g @ g.T / 16 + shift * np.eye(16)
+        b = rng.normal(size=16)
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            fails = True
+        else:
+            fails = False
+            assert tomography._solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+        assert tomography._cholesky_fails(a) is fails
+        outcomes.add(fails)
+    assert outcomes == {True, False}
+
+
 def count_step_branches(monkeypatch) -> dict:
     """Count the Newton steps that take the Cholesky branch (its linear solve)
-    and those that fall back to the eigen step (a failed Cholesky); a fit
-    has no other solve and no other failed Cholesky."""
+    and those that fall back to the eigen step (a failed Cholesky)."""
     branches = {"cholesky": 0, "eigen": 0}
-    cholesky, solve = np.linalg.cholesky, np.linalg.solve
+    cholesky_fails, solve = tomography._cholesky_fails, tomography._solve
 
-    def counted_cholesky(a):
-        try:
-            return cholesky(a)
-        except np.linalg.LinAlgError:
-            branches["eigen"] += 1
-            raise
+    def counted_cholesky_fails(a):
+        fails = cholesky_fails(a)
+        branches["eigen"] += fails
+        return fails
 
     def counted_solve(a, b):
         branches["cholesky"] += 1
         return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(tomography, "_cholesky_fails", counted_cholesky_fails)
+    monkeypatch.setattr(tomography, "_solve", counted_solve)
     return branches
 
 
@@ -514,6 +571,12 @@ class TestRecordCsv:
         lines = records_to_csv(recs).splitlines()
         assert lines[0] == "setting_ion,setting_photon,n_pp,n_pm,n_mp,n_mm"
         assert len(lines) == 1 + len(recs)
+
+    def test_row_text_is_each_count_to_15_digits(self):
+        counts = (1 / 3, 2 / 3, 1e-20, 123456.78901234567)
+        rec = CountRecord(MeasurementSetting("Y", "X"), counts, sum(counts))
+        row = records_to_csv([rec]).splitlines()[1]
+        assert row == "Y,X," + ",".join(f"{c:.15g}" for c in counts)
 
     def test_rows_read_back_with_csv_module(self):
         # fractional counts survive to 15 significant digits
