@@ -12,9 +12,11 @@ import io
 import math
 from dataclasses import dataclass, field
 
+from . import rules
+
 
 @dataclass(frozen=True)
-class EfficiencyStage:
+class EfficiencyStage(rules.CheckedFields):
     """One stage of a photon chain; optionally polarization-resolved."""
 
     name: str
@@ -22,15 +24,16 @@ class EfficiencyStage:
     eta_h: float | None = None
     eta_v: float | None = None
 
+    RULES = dict.fromkeys(("value", "eta_h", "eta_v"), rules.STAGE_EFFICIENCY)
+
     def __post_init__(self):
-        vals = [self.value]
         if (self.eta_h is None) != (self.eta_v is None):
-            raise ValueError(f"stage {self.name}: give both polarizations or neither")
-        if self.eta_h is not None:
-            vals += [self.eta_h, self.eta_v]
-        for v in vals:
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"stage {self.name}: efficiency {v} outside (0, 1]")
+            raise ValueError(f"eta_h, eta_v: give both polarizations of stage {self.name} "
+                             "or neither")
+        if self.eta_h is None:  # unpolarized
+            rules.check("value", self.RULES["value"], self.value)
+        else:
+            super().__post_init__()
 
     def resolved(self, polarization: str | None) -> float:
         if self.eta_h is None or polarization is None:
@@ -49,7 +52,7 @@ class EfficiencyStage:
 
 
 @dataclass(frozen=True)
-class RateChain:
+class RateChain(rules.CheckedFields):
     """Repetition rate times prefactors times stage efficiencies."""
 
     name: str
@@ -57,24 +60,23 @@ class RateChain:
     stages: tuple
     prefactors: dict = field(default_factory=dict)
 
+    RULES = {"repetition_rate_hz": rules.POSITIVE_FINITE}
+
     def __post_init__(self):
-        if not self.repetition_rate_hz > 0:  # NaN fails too
-            raise ValueError("repetition rate must be positive")
+        super().__post_init__()
         object.__setattr__(self, "stages", tuple(self.stages))
         object.__setattr__(self, "prefactors", dict(self.prefactors))
 
 
 @dataclass(frozen=True)
-class ErrorSource:
+class ErrorSource(rules.CheckedFields):
     """One row of the infidelity ledger."""
 
     name: str
     infidelity: float
     model_ref: str | None = None
 
-    def __post_init__(self):
-        if not 0.0 <= self.infidelity <= 1.0:
-            raise ValueError(f"{self.name}: infidelity {self.infidelity} outside [0, 1]")
+    RULES = {"infidelity": rules.PROBABILITY}
 
 
 def rate(chain: RateChain, polarization: str | None = None) -> float:
@@ -118,10 +120,8 @@ def total_infidelity(sources, mode: str = "sum") -> float:
 
 def snr_and_noise_rate(signal_rate_hz: float, noise_rate_hz: float) -> tuple[float, float]:
     """(SNR, noise fraction p = 1/(SNR+1)); zero noise gives (inf, 0)."""
-    if not signal_rate_hz > 0:  # NaN fails too
-        raise ValueError("signal rate must be positive")
-    if not noise_rate_hz >= 0:
-        raise ValueError("noise rate must be nonnegative")
+    rules.check("signal_rate_hz", rules.POSITIVE_FINITE, signal_rate_hz)
+    rules.check("noise_rate_hz", rules.FINITE_NONNEGATIVE, noise_rate_hz)
     if noise_rate_hz == 0:
         return math.inf, 0.0
     snr = signal_rate_hz / noise_rate_hz
@@ -132,34 +132,28 @@ def snr_and_noise_rate(signal_rate_hz: float, noise_rate_hz: float) -> tuple[flo
 # CSV report layouts
 
 
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def error_budget_csv(sources, mode: str = "sum") -> str:
     """Ledger table: one row per source plus the composed total."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["error_source", "infidelity_percent", "model_ref"])
-    for s in sources:
-        writer.writerow([s.name, f"{s.infidelity * 100:.6g}", s.model_ref or ""])
-    writer.writerow(["total", f"{total_infidelity(sources, mode) * 100:.6g}", mode])
-    return buf.getvalue()
+    return _csv([["error_source", "infidelity_percent", "model_ref"],
+                 *([s.name, f"{s.infidelity * 100:.6g}", s.model_ref or ""] for s in sources),
+                 ["total", f"{total_infidelity(sources, mode) * 100:.6g}", mode]])
 
 
 def stage_table_csv(stages) -> str:
     """Efficiency table with per-polarization columns and the overall product."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["stage", "efficiency_H_percent", "efficiency_V_percent"])
-    for s in stages:
-        writer.writerow([s.name, f"{s.resolved('H') * 100:.6g}", f"{s.resolved('V') * 100:.6g}"])
-    writer.writerow(["overall",
-                     f"{end_to_end_efficiency(stages, 'H') * 100:.6g}",
-                     f"{end_to_end_efficiency(stages, 'V') * 100:.6g}"])
-    return buf.getvalue()
+    return _csv([["stage", "efficiency_H_percent", "efficiency_V_percent"],
+                 *([s.name, f"{s.resolved('H') * 100:.6g}", f"{s.resolved('V') * 100:.6g}"]
+                   for s in stages),
+                 ["overall", f"{end_to_end_efficiency(stages, 'H') * 100:.6g}",
+                  f"{end_to_end_efficiency(stages, 'V') * 100:.6g}"]])
 
 
 def rate_table_csv(chains_with_rates) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["chain", "rate_hz"])
-    for name, value in chains_with_rates:
-        writer.writerow([name, f"{value:.6g}"])
-    return buf.getvalue()
+    return _csv([["chain", "rate_hz"],
+                 *([name, f"{value:.6g}"] for name, value in chains_with_rates)])

@@ -16,10 +16,11 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import rules
 from .budget import EfficiencyStage, ErrorSource, RateChain
-from .ion import IonParams, decoherence_infidelity
-from .memory import CombParams, SpectralModel
-from .photon import JitterParams, jitter_infidelity
+from .ion import DECOHERENCE_EXPONENT, IonParams, decoherence_infidelity
+from .memory import INTERVAL, RESIDUAL_INFIDELITY, CombParams, SpectralModel
+from .photon import PBS_EXTINCTION, JitterParams, jitter_infidelity
 
 SCENARIOS = ("ion_photon", "post_qfc", "ti_qm", "chsh", "budget", "afc_sweep",
              "bandwidth_sweep")
@@ -129,103 +130,59 @@ def default_config_dict() -> dict:
     }
 
 
-_NUMBER = (int, float)
+_DEFAULTS = default_config_dict()
 
 
-def _number(v) -> bool:
-    """An int or float, not a boolean, that float() can represent: an integer
-    beyond the float range compares below infinity but overflows float()."""
-    if not isinstance(v, _NUMBER) or isinstance(v, bool):
-        return False
-    try:
-        float(v)
-    except OverflowError:
-        return False
-    return True
-
-
-def _finite_number(v) -> bool:
-    return _number(v) and math.isfinite(v)
-
-
-def _interval(v) -> bool:
-    return (isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_finite_number, v))
-            and v[0] < v[1])
-
-
-def _closed(lo, hi):
-    return f"a number in [{lo}, {hi}]", lambda v: _number(v) and lo <= v <= hi
-
-
-def _above(lo):  # infinity passes
-    return f"a number > {lo}", lambda v: _number(v) and v > lo
-
-
-def _integer_from(least):
-    return f"an integer >= {least}", lambda v: isinstance(v, int) and _number(v) and v >= least
-
-
-_FINITE = ("a finite number", _finite_number)
-_FINITE_NONNEGATIVE = ("a finite number >= 0",
-                       lambda v: _number(v) and 0 <= v < math.inf)
-_POSITIVE_FINITE = ("a positive finite number",
-                    lambda v: _number(v) and 0 < v < math.inf)
-# a rate-chain stage, as EfficiencyStage takes it
-_STAGE_EFFICIENCY = ("a number in (0, 1]", lambda v: _number(v) and 0 < v <= 1)
-# a white-noise rate costs a Bell state its own value of fidelity, which a
-# depolarizing channel reaches only up to 3/4 (mixing fully to I/4)
-_WHITE_NOISE_RATE = _closed(0, 0.75)
 # The one rule of each config field: what the value must be, and its test.
-# No field takes a boolean, so the check rejects true and false before any
-# test; every numeric test takes only what float() can represent, and NaN
-# fails every bound.  ``*`` stands for any one key, and a label added to a
-# label map takes its ``*``.
+# A field that a dataclass or a channel builder takes as it is takes the
+# same rule object there, and NaN and booleans fail every rule.  ``*``
+# stands for any one key, and a label added to a label map takes its ``*``.
 FIELD_RULES = {
-    "scenario": (f"one of {SCENARIOS}", lambda v: v in SCENARIOS),
-    "master_seed": _integer_from(0),
-    "output_dir": ("a nonempty string", lambda v: isinstance(v, str) and v != ""),
-    "ion.zeeman_frequency_mhz": _FINITE_NONNEGATIVE,
-    "ion.coherence_time_tau_ms": _above(0),  # inf: no decoherence
-    "jitter.*": _FINITE_NONNEGATIVE,
-    "noise.pbs_extinction": _above(1),  # inf: no leakage
-    "comb.d": _POSITIVE_FINITE,
-    "comb.gamma_comb_khz": _POSITIVE_FINITE,
-    "comb.delta_mhz": _POSITIVE_FINITE,
-    "comb.finesse": ("a finite number or null", lambda v: v is None or _finite_number(v)),
-    "spectral.*": _POSITIVE_FINITE,
-    "pump.ground_offsets.*": _FINITE,
-    "pump.excited_offsets.*": _FINITE,
-    "pump.windows": ("a list of [lo, hi] number pairs with lo < hi",
-                     lambda v: isinstance(v, (list, tuple)) and all(map(_interval, v))),
-    "pump.target": ("a [lo, hi] number pair with lo < hi", _interval),
-    "pump.broadening_mhz": _POSITIVE_FINITE,
-    "pump.strengths.*": _FINITE_NONNEGATIVE,
-    "pump.native_d.*": _FINITE_NONNEGATIVE,
-    "pump.partial_weight": _closed(0, 1),
-    "storage.eta_internal_h": _closed(0, 1),
-    "storage.eta_internal_v": _closed(0, 1),
-    "storage.eta_device_h": _STAGE_EFFICIENCY,
-    "storage.eta_device_v": _STAGE_EFFICIENCY,
-    "storage.residual_infidelity": _closed(0, 0.5),
-    "rates.*": _POSITIVE_FINITE,
-    "pipeline.qfc_process_fidelity": _closed(0, 1),
-    "pipeline.decoherence_exponent_a": _closed(1, 3),
-    "pipeline.excitation_error": _WHITE_NOISE_RATE,
-    "pipeline.spam_error": _WHITE_NOISE_RATE,
-    "pipeline.mw_rotation_error": _WHITE_NOISE_RATE,
-    "pipeline.pi_collection_error": _WHITE_NOISE_RATE,
-    "pipeline.bootstrap_resamples": _integer_from(100),
+    "scenario": rules.Rule(f"one of {SCENARIOS}", lambda v: v in SCENARIOS),
+    "master_seed": rules.integer_from(0),
+    "output_dir": rules.Rule("a nonempty string", lambda v: isinstance(v, str) and v != ""),
+    "ion.zeeman_frequency_mhz": SpectralModel.RULES["zeeman_split_mhz"],
+    "ion.coherence_time_tau_ms": IonParams.RULES["coherence_time_tau_ms"],
+    # sections whose fields are fields of one dataclass take its rules
+    **{f"jitter.{key}": JitterParams.RULES[key] for key in _DEFAULTS["jitter"]},
+    **{f"comb.{key}": CombParams.RULES[key] for key in _DEFAULTS["comb"]},
+    **{f"spectral.{key}": SpectralModel.RULES[key] for key in _DEFAULTS["spectral"]},
+    "noise.pbs_extinction": PBS_EXTINCTION,
+    "pump.ground_offsets.*": rules.FINITE,
+    "pump.excited_offsets.*": rules.FINITE,
+    "pump.windows": rules.Rule("a list of [lo, hi] number pairs with lo < hi",
+                         lambda v: isinstance(v, (list, tuple)) and all(map(INTERVAL.test, v))),
+    "pump.target": INTERVAL,
+    "pump.broadening_mhz": rules.POSITIVE_FINITE,
+    "pump.strengths.*": rules.FINITE_NONNEGATIVE,
+    "pump.native_d.*": rules.FINITE_NONNEGATIVE,
+    "pump.partial_weight": rules.PROBABILITY,
+    "storage.eta_internal_h": rules.PROBABILITY,  # memory.storage_channel
+    "storage.eta_internal_v": rules.PROBABILITY,
+    "storage.eta_device_h": EfficiencyStage.RULES["eta_h"],
+    "storage.eta_device_v": EfficiencyStage.RULES["eta_v"],
+    "storage.residual_infidelity": RESIDUAL_INFIDELITY,
+    # a field in Hz is a rate; every other one is a rate-chain stage
+    **{f"rates.{key}": (rules.POSITIVE_FINITE if key.endswith("_hz")
+                        else EfficiencyStage.RULES["value"]) for key in _DEFAULTS["rates"]},
+    "pipeline.qfc_process_fidelity": rules.PROBABILITY,  # photon.depolarizing_chi
+    "pipeline.decoherence_exponent_a": DECOHERENCE_EXPONENT,
+    "pipeline.excitation_error": rules.WHITE_NOISE_RATE,
+    "pipeline.spam_error": rules.WHITE_NOISE_RATE,
+    "pipeline.mw_rotation_error": rules.WHITE_NOISE_RATE,
+    "pipeline.pi_collection_error": rules.WHITE_NOISE_RATE,
+    "pipeline.bootstrap_resamples": rules.integer_from(100),
     # shot budgets: at least one shot per measurement setting
-    "scenarios.*.shots": _integer_from(9),
-    "scenarios.ti_qm.heralds": _integer_from(9),
-    "scenarios.chsh.trials": _integer_from(4),
-    "scenarios.*.snr": _above(0),  # inf: no dark noise
-    "scenarios.*.decoherence_time_us": _FINITE_NONNEGATIVE,
-    "scenarios.*.points": _integer_from(2),
-    "scenarios.afc_sweep.t_start_ns": _FINITE_NONNEGATIVE,
-    "scenarios.afc_sweep.t_stop_ns": _FINITE,
-    "scenarios.bandwidth_sweep.df_start_mhz": _FINITE,
-    "scenarios.bandwidth_sweep.df_stop_mhz": _FINITE,
+    "scenarios.*.shots": rules.integer_from(9),
+    "scenarios.ti_qm.heralds": rules.integer_from(9),
+    "scenarios.chsh.trials": rules.integer_from(4),
+    "scenarios.*.snr": rules.above(0),  # inf: no dark noise
+    "scenarios.*.decoherence_time_us": rules.FINITE_NONNEGATIVE,  # ion.decoherence_channel
+    "scenarios.*.points": rules.integer_from(2),
+    "scenarios.afc_sweep.t_start_ns": rules.FINITE_NONNEGATIVE,
+    "scenarios.afc_sweep.t_stop_ns": rules.FINITE,
+    "scenarios.bandwidth_sweep.df_start_mhz": rules.FINITE,
+    "scenarios.bandwidth_sweep.df_stop_mhz": rules.FINITE,
 }
 
 
@@ -244,15 +201,15 @@ def _section_rules(tree: dict, keys: tuple = ()):
     label) of every object in the defaults.  Each field's rule is resolved
     here once; the merge adds no path but labels in label maps."""
     prefix = "".join(k + "." for k in keys)
-    rules = {key: FIELD_RULES[_rule_pattern(prefix + key)]
-             for key, v in tree.items() if not isinstance(v, dict)}
-    yield keys, prefix, rules, FIELD_RULES.get(prefix + "*")
+    by_key = {key: FIELD_RULES[_rule_pattern(prefix + key)]
+              for key, v in tree.items() if not isinstance(v, dict)}
+    yield keys, prefix, by_key, FIELD_RULES.get(prefix + "*")
     for key, v in tree.items():
         if isinstance(v, dict):
             yield from _section_rules(v, keys + (key,))
 
 
-_SECTION_RULES = list(_section_rules(default_config_dict()))
+_SECTION_RULES = list(_section_rules(_DEFAULTS))
 
 
 @dataclass(frozen=True)
@@ -290,8 +247,11 @@ class ExperimentConfig:
             raise ConfigError(errors)
         zeeman_mhz = cfg["ion"]["zeeman_frequency_mhz"]
         omega = 2 * math.pi * zeeman_mhz * 1e6
-        return cls(cfg["scenario"], cfg["master_seed"], cfg["output_dir"],
-                   IonParams(omega, cfg["ion"]["coherence_time_tau_ms"]),
+        try:  # a splitting above ~2.9e301 MHz overflows omega
+            ion = IonParams(omega, cfg["ion"]["coherence_time_tau_ms"])
+        except ValueError as exc:
+            raise ConfigError([f"ion.zeeman_frequency_mhz: {exc}"]) from None
+        return cls(cfg["scenario"], cfg["master_seed"], cfg["output_dir"], ion,
                    JitterParams(zeeman_omega=omega, **cfg["jitter"]), comb,
                    SpectralModel(zeeman_split_mhz=zeeman_mhz, **cfg["spectral"]), raw=cfg)
 
@@ -300,9 +260,7 @@ class ExperimentConfig:
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError([f"config file {path}: {exc}"]) from exc
-        except json.JSONDecodeError as exc:
+        except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError([f"config file {path}: {exc}"]) from exc
         return cls.from_dict(data)
 
@@ -345,15 +303,18 @@ def _deep_update(base: dict, extra: dict, errors: list | None = None, path: str 
 def _check_fields(cfg: dict, errors: list, rejected: set):
     """Test each field of the merged config against its rule; add the dotted
     path of each one that fails to ``rejected``."""
-    for keys, prefix, rules, label_rule in _SECTION_RULES:
+    for keys, prefix, by_key, label_rule in _SECTION_RULES:
         section = cfg
         for key in keys:  # the merge keeps every section an object
             section = section[key]
         for key, v in section.items():
-            rule = rules.get(key, label_rule)  # None: a subsection
-            if rule is not None and (v is True or v is False or not rule[1](v)):
-                errors.append(f"{prefix}{key}: expected {rule[0]}, got {v!r}")
-                rejected.add(f"{prefix}{key}")
+            rule = by_key.get(key, label_rule)  # None: a subsection
+            if rule is not None:
+                try:
+                    rules.check(prefix + key, rule, v)
+                except ValueError as exc:
+                    errors.append(str(exc))
+                    rejected.add(prefix + key)
 
 
 def _check_spans(errors: list, cfg: dict, rejected: set):
@@ -364,7 +325,7 @@ def _check_spans(errors: list, cfg: dict, rejected: set):
                       "memory stores nothing")
     for key in ("eta_internal_h", "eta_internal_v"):  # subnormal: the herald underflows
         v = storage[key]
-        if isinstance(v, _NUMBER) and 0 < v < sys.float_info.min:
+        if rules.number(v) and 0 < v < sys.float_info.min:
             errors.append(f"storage.{key}: {v!r} is subnormal; expected 0 or at least "
                           f"{sys.float_info.min!r}")
     pump = cfg["pump"]
@@ -401,45 +362,27 @@ def rate_chains(cfg: ExperimentConfig) -> dict:
     """Named rate chains and efficiency stage lists from the rates section."""
     r = cfg.section("rates")
     pre = {"branching_sigma": 2.0 / 3.0}
-    collection = [
-        EfficiencyStage("p_pi", r["p_pi"]),
-        EfficiencyStage("p_s12", r["p_s12"]),
-        EfficiencyStage("t_fib1", r["t_fib1"]),
-        EfficiencyStage("t_opt", r["t_opt"]),
-        EfficiencyStage("e_obj", r["e_obj"]),
-    ]
+
+    def stages(*keys: str) -> list[EfficiencyStage]:
+        return [EfficiencyStage(key, r[key]) for key in keys]
+
+    collection = stages("p_pi", "p_s12", "t_fib1", "t_opt", "e_obj")
     # rate chains use the balanced (2.00 W) conversion efficiency; the
     # polarized pair only enters the per-stage efficiency table
-    qfc = [
-        EfficiencyStage("eta_369", r["eta_369"]),
-        EfficiencyStage("eta_conv", r["eta_conv_h"]),
-        EfficiencyStage("t_580", r["t_580"]),
-        EfficiencyStage("t_fib2", r["t_fib2"]),
-        EfficiencyStage("eta_aom", r["eta_aom"]),
-    ]
+    qfc = [*stages("eta_369"), EfficiencyStage("eta_conv", r["eta_conv_h"]),
+           *stages("t_580", "t_fib2", "eta_aom")]
     storage = cfg.section("storage")
-    qm = [
-        EfficiencyStage("eta_bw", r["eta_bw"]),
-        EfficiencyStage.polarized("eta_storage", storage["eta_device_h"],
-                                  storage["eta_device_v"]),
-    ]
+    qm = [*stages("eta_bw"), EfficiencyStage.polarized("eta_storage", storage["eta_device_h"],
+                                                      storage["eta_device_v"])]
     chains = {
-        "r_369": RateChain("r_369", r["r_exp1_hz"],
-                           collection + [EfficiencyStage("qe_369", r["qe_369"])], pre),
-        "r_580": RateChain("r_580", r["r_exp2_hz"],
-                           collection + [EfficiencyStage("qe_580", r["qe_580"])] + qfc, pre),
+        "r_369": RateChain("r_369", r["r_exp1_hz"], collection + stages("qe_369"), pre),
+        "r_580": RateChain("r_580", r["r_exp2_hz"], collection + stages("qe_580") + qfc, pre),
         "r_ti_qm": RateChain("r_ti_qm", r["r_exp3_hz"],
-                             collection + [EfficiencyStage("qe_580", r["qe_580"])] + qfc + qm,
-                             pre),
+                             collection + stages("qe_580") + qfc + qm, pre),
     }
-    overall = [
-        EfficiencyStage("eta_369", r["eta_369"]),
-        EfficiencyStage("t_580", r["t_580"]),
-        EfficiencyStage("t_fib2", r["t_fib2"]),
-        EfficiencyStage.polarized("eta_conv", r["eta_conv_h"], r["eta_conv_v"]),
-        qm[0], qm[1],
-        EfficiencyStage("eta_aom", r["eta_aom"]),
-    ]
+    overall = [*stages("eta_369", "t_580", "t_fib2"),
+               EfficiencyStage.polarized("eta_conv", r["eta_conv_h"], r["eta_conv_v"]),
+               *qm, *stages("eta_aom")]
     return {"chains": chains, "qfc_stages": qfc, "qm_stages": qm,
             "overall_stages": overall}
 

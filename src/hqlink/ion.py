@@ -17,21 +17,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rules
 from .qstate import PureState, QuantumChannel, dephasing_channel
 
 ZEEMAN_OMEGA_DEFAULT = 2 * math.pi * 11.22e6  # rad/s
+# the exponent a of the coherence decay exp(-(t/tau)^a)
+DECOHERENCE_EXPONENT = rules.closed(1, 3)
 
 
 @dataclass(frozen=True)
-class IonParams:
+class IonParams(rules.CheckedFields):
     """Physical parameters of the ion qubit and its emission."""
 
     zeeman_omega: float = ZEEMAN_OMEGA_DEFAULT  # rad/s
     coherence_time_tau_ms: float = 0.989
 
-    def __post_init__(self):
-        if not self.coherence_time_tau_ms > 0:  # NaN fails too
-            raise ValueError("coherence time must be positive")
+    RULES = {"zeeman_omega": rules.FINITE_NONNEGATIVE,
+             "coherence_time_tau_ms": rules.above(0)}  # inf: no decoherence
 
 
 def emit_entangled_state(params: IonParams, t_elapsed_ns: float,
@@ -57,10 +59,8 @@ def decoherence_channel(params: IonParams, t_us: float, exponent_a: float = 2.0)
     Coherence decays as exp(-(t/tau)^a); the two-qubit fidelity against the
     phi = 0 target is (1 + coherence)/2.
     """
-    if t_us < 0:
-        raise ValueError("time must be nonnegative")
-    if not 1.0 <= exponent_a <= 3.0:
-        raise ValueError(f"exponent {exponent_a} outside [1, 3]")
+    rules.check("t_us", rules.FINITE_NONNEGATIVE, t_us)
+    rules.check("exponent_a", DECOHERENCE_EXPONENT, exponent_a)
     tau_us = params.coherence_time_tau_ms * 1e3
     coherence = math.exp(-((t_us / tau_us) ** exponent_a))
     return dephasing_channel(coherence, subsystem=0)

@@ -10,20 +10,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
+from . import rules
 from .qstate import QuantumChannel, DensityMatrix, apply_channel, embed_single_qubit, Z
 
 # Gaussian comb-tooth constant sqrt(pi / (4 ln 2))
 COMB_B = math.sqrt(math.pi) / math.sqrt(4 * math.log(2))
 
 FINESSE_CONSISTENCY_RTOL = 0.02  # fitted finesse vs delta/gamma, rounding headroom
+# the storage residual's Bell infidelity: a phase flip costs at most 1/2
+RESIDUAL_INFIDELITY = rules.closed(0, 0.5)
 
 
 @dataclass(frozen=True)
-class CombParams:
+class CombParams(rules.CheckedFields):
     """AFC comb parameters.
 
     ``finesse`` may be omitted, in which case it is computed as
@@ -37,16 +39,11 @@ class CombParams:
     bandwidth_mhz: float = 48.2
     finesse: float | None = None
 
+    RULES = {**dict.fromkeys(("d", "gamma_comb_khz", "delta_mhz", "bandwidth_mhz"),
+                             rules.POSITIVE_FINITE), "finesse": rules.optional(rules.FINITE)}
+
     def __post_init__(self):
-        for name in ("d", "gamma_comb_khz", "delta_mhz", "bandwidth_mhz", "finesse"):
-            v = getattr(self, name)
-            if v is not None and (isinstance(v, bool)
-                                  or not (isinstance(v, Real) and math.isfinite(v))):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
-        if self.d <= 0:
-            raise ValueError("absorption depth must be positive")
-        if self.gamma_comb_khz <= 0 or self.delta_mhz <= 0:
-            raise ValueError("comb frequencies must be positive")
+        super().__post_init__()
         if self.bandwidth_mhz <= self.delta_mhz:
             raise ValueError("bandwidth must exceed the tooth spacing")
         implied = self.delta_mhz * 1e3 / self.gamma_comb_khz
@@ -58,7 +55,7 @@ class CombParams:
 
 
 @dataclass(frozen=True)
-class SpectralModel:
+class SpectralModel(rules.CheckedFields):
     """Photon spectrum vs memory band.
 
     ``gamma_natural_mhz`` is the natural linewidth 1/(2 pi tau), i.e. the
@@ -71,15 +68,9 @@ class SpectralModel:
     qm_bandwidth_mhz: float = 48.2
     detuning_mhz: float = 0.0
 
-    def __post_init__(self):
-        for name in ("gamma_natural_mhz", "zeeman_split_mhz", "qm_bandwidth_mhz",
-                     "detuning_mhz"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.gamma_natural_mhz <= 0 or self.qm_bandwidth_mhz <= 0:
-            raise ValueError("widths must be positive")
-        if self.zeeman_split_mhz < 0:
-            raise ValueError("zeeman splitting must be nonnegative")
+    RULES = {"gamma_natural_mhz": rules.POSITIVE_FINITE,
+             "zeeman_split_mhz": rules.FINITE_NONNEGATIVE,
+             "qm_bandwidth_mhz": rules.POSITIVE_FINITE, "detuning_mhz": rules.FINITE}
 
 
 def afc_efficiency(c: CombParams, t_storage_ns: float) -> float:
@@ -88,8 +79,7 @@ def afc_efficiency(c: CombParams, t_storage_ns: float) -> float:
     eta = B^2 (d/F)^2 exp(-B d/F - 2 pi B^2 t^2 gamma^2) with Gaussian teeth,
     B = sqrt(pi)/sqrt(4 ln 2).  Clamped to [0, 1].
     """
-    if not t_storage_ns >= 0:  # NaN fails too
-        raise ValueError("storage time must be nonnegative")
+    rules.check("t_storage_ns", rules.FINITE_NONNEGATIVE, t_storage_ns)
     d_over_f = c.d / c.finesse
     t_s = t_storage_ns * 1e-9
     gamma_hz = c.gamma_comb_khz * 1e3
@@ -153,10 +143,10 @@ def _merge(intervals: list[Interval]) -> list[Interval]:
     return out
 
 
-def _check_interval(iv, name: str):
-    lo, hi = iv
-    if not lo < hi:
-        raise ValueError(f"{name} interval ({lo}, {hi}) is not ordered")
+# the pump target and each pump window
+INTERVAL = rules.Rule("a [lo, hi] number pair with lo < hi",
+                      lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                      and all(map(rules.FINITE.test, v)) and v[0] < v[1])
 
 
 def plan_pump_regions(level_offsets: dict, windows: list[Interval],
@@ -169,9 +159,9 @@ def plan_pump_regions(level_offsets: dict, windows: list[Interval],
     [0, broadening].  Enhancement windows must not overlap the target band
     (they would burn away the absorbers they are meant to feed).
     """
-    _check_interval(target, "target")
+    rules.check("target", INTERVAL, target)
     for w in windows:
-        _check_interval(w, "pump window")
+        rules.check("pump window", INTERVAL, w)
         if w[0] < target[1] and target[0] < w[1]:
             raise ValueError(f"pump window {w} overlaps the target band {target}")
     regions = {}
@@ -266,9 +256,8 @@ def storage_channel(eta_h: float, eta_v: float) -> QuantumChannel:
     eta_h * p_H + eta_v * p_V.  Balanced efficiencies leave the post-selected
     state unchanged.
     """
-    for name, v in (("eta_h", eta_h), ("eta_v", eta_v)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name}={v} outside [0, 1]")
+    rules.check("eta_h", rules.PROBABILITY, eta_h)
+    rules.check("eta_v", rules.PROBABILITY, eta_v)
     k = embed_single_qubit(np.diag([math.sqrt(eta_h), math.sqrt(eta_v)]).astype(complex), 1)
     return QuantumChannel((k,), trace_preserving=False)
 
@@ -284,8 +273,7 @@ def storage_residual_channel(avg_infidelity: float) -> QuantumChannel:
     Calibrated so the Bell-state infidelity equals the measured average
     storage infidelity; not derived from a microscopic model.
     """
-    if not 0.0 <= avg_infidelity <= 0.5:
-        raise ValueError("average infidelity outside [0, 0.5]")
+    rules.check("avg_infidelity", RESIDUAL_INFIDELITY, avg_infidelity)
     z = embed_single_qubit(Z, 1)
     eye = np.eye(4, dtype=complex)
     return QuantumChannel((math.sqrt(1 - avg_infidelity) * eye,

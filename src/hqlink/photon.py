@@ -10,10 +10,10 @@ import importlib.resources
 import json
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
+from . import rules
 from .ion import ZEEMAN_OMEGA_DEFAULT
 from .qstate import (
     PAULIS,
@@ -23,7 +23,6 @@ from .qstate import (
     bitflip_channel,
     dephasing_channel,
     matrix_from_json_dict,
-    matrix_to_json_dict,
 )
 
 CHI_TOL = 1e-9
@@ -38,23 +37,20 @@ _PAULI_PRODUCTS.flags.writeable = False
 # eigensolver's rounding error on a unit-trace 4x4 state (~1e-15) a
 # thousandfold; a lighter admixture takes the full eigenvalue check.
 _LIFT_MIN_WEIGHT = 4e-12
+# the PBS extinction ratio; inf: no leakage
+PBS_EXTINCTION = rules.above(1)
 
 
 @dataclass(frozen=True)
-class JitterParams:
+class JitterParams(rules.CheckedFields):
     """RMS timing jitter of the classical readout chain, in nanoseconds."""
 
     awg_rms_ns: float = 0.305
     transceiver_rms_ns: float = 0.056
-    zeeman_omega: float = ZEEMAN_OMEGA_DEFAULT
+    zeeman_omega: float = ZEEMAN_OMEGA_DEFAULT  # rad/s
 
-    def __post_init__(self):
-        for name in ("awg_rms_ns", "transceiver_rms_ns"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, Real) and math.isfinite(v)):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
-        if self.awg_rms_ns < 0 or self.transceiver_rms_ns < 0:
-            raise ValueError("jitter components must be nonnegative")
+    RULES = dict.fromkeys(("awg_rms_ns", "transceiver_rms_ns", "zeeman_omega"),
+                          rules.FINITE_NONNEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -84,22 +80,11 @@ class ProcessMatrix:
         chi.flags.writeable = False
         object.__setattr__(self, "chi", chi)
 
-    def to_json_dict(self) -> dict:
-        d = matrix_to_json_dict(self.chi)
-        d["basis"] = "pauli-IXYZ"
-        return d
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "ProcessMatrix":
         if d.get("basis", "pauli-IXYZ") != "pauli-IXYZ":
             raise StateError(f"unsupported chi basis {d.get('basis')!r}")
         return cls(matrix_from_json_dict(d))
-
-
-def identity_chi() -> ProcessMatrix:
-    chi = np.zeros((4, 4), dtype=complex)
-    chi[0, 0] = 1.0
-    return ProcessMatrix(chi)
 
 
 def depolarizing_chi(process_fidelity: float) -> ProcessMatrix:
@@ -108,8 +93,7 @@ def depolarizing_chi(process_fidelity: float) -> ProcessMatrix:
     Used when only a scalar process fidelity is configured: the residual
     weight is spread uniformly over X, Y, Z.
     """
-    if not 0.0 <= process_fidelity <= 1.0:
-        raise ValueError(f"process fidelity {process_fidelity} outside [0, 1]")
+    rules.check("process_fidelity", rules.PROBABILITY, process_fidelity)
     r = (1 - process_fidelity) / 3
     return ProcessMatrix(np.diag([process_fidelity, r, r, r]).astype(complex))
 
@@ -146,8 +130,7 @@ def pbs_bitflip_channel(extinction: float) -> QuantumChannel:
     The leakage probability is 1/extinction and equals the Bell-state
     infidelity of the channel exactly.
     """
-    if not extinction > 1:  # NaN fails too
-        raise ValueError("extinction ratio must exceed 1")
+    rules.check("extinction", PBS_EXTINCTION, extinction)
     return bitflip_channel(1.0 / extinction, subsystem=1)
 
 

@@ -59,14 +59,14 @@ class StateError(ValueError):
     """Raised when a state or channel violates its construction invariants."""
 
 
-def _as_complex_matrix(m, dim: int | None = None) -> np.ndarray:
+def _as_complex_matrix(m) -> np.ndarray:
     a = np.array(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise StateError(f"expected a square matrix, got shape {a.shape}")
-    if dim is not None and a.shape[0] != dim:
-        raise StateError(f"expected dimension {dim}, got {a.shape[0]}")
     if a.shape[0] > MAX_DIM:
         raise StateError(f"dimension {a.shape[0]} exceeds the two-qubit limit")
+    if not np.isfinite(a).all():  # before arithmetic on a NaN or inf warns
+        raise StateError("matrix has a non-finite entry")
     return a
 
 
@@ -97,8 +97,7 @@ class PureState:
 
 def _hermitian_with_trace(matrix, subnormalized: bool) -> tuple[np.ndarray, float]:
     """A complex copy of a density-matrix candidate and its trace, after the
-    shape, Hermiticity and trace checks.  A NaN or infinite entry fails the
-    Hermiticity check, since m - m^dag is NaN there."""
+    shape, finiteness, Hermiticity and trace checks."""
     m = _as_complex_matrix(matrix)
     if not np.abs(m - m.conj().T).max() <= HERMITIAN_TOL:
         raise StateError("density matrix is not Hermitian within tolerance")
@@ -169,13 +168,6 @@ class DensityMatrix:
             raise StateError("cannot renormalize a zero-trace state")
         return DensityMatrix(self.matrix / tr)
 
-    def to_json_dict(self) -> dict:
-        return matrix_to_json_dict(self.matrix)
-
-    @classmethod
-    def from_json_dict(cls, d: dict, subnormalized: bool = False) -> "DensityMatrix":
-        return cls(matrix_from_json_dict(d), subnormalized=subnormalized)
-
 
 @dataclass(frozen=True)
 class Observable:
@@ -217,6 +209,8 @@ class QuantumChannel:
         if any(k.shape != mats[0].shape for k in mats):
             raise StateError("Kraus operators must share one dimension")
         ops = _read_only(np.array(ops, dtype=complex))
+        if not np.isfinite(ops).all():  # the operators of an array past the first
+            raise StateError("matrix has a non-finite entry")
         total = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
         if self.trace_preserving:
             if not np.abs(total - np.eye(ops.shape[1])).max() <= CPTP_TOL:

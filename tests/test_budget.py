@@ -57,7 +57,8 @@ class TestRates:
             end_to_end_efficiency(shuffled), rel=1e-12)
 
     def test_nan_repetition_rate_rejected(self):
-        with pytest.raises(ValueError, match="repetition rate must be positive"):
+        with pytest.raises(ValueError, match=r"^repetition_rate_hz: expected a positive finite "
+                                              r"number, got nan$"):
             RateChain("r", math.nan, (EfficiencyStage("a", 0.5),))
 
     def test_empty_chain_rejected(self):
@@ -150,11 +151,13 @@ class TestSnr:
         assert p == 0.0
 
     def test_nan_signal_rate_rejected(self):
-        with pytest.raises(ValueError, match="signal rate must be positive"):
+        with pytest.raises(ValueError, match=r"^signal_rate_hz: expected a positive finite "
+                                              r"number, got nan$"):
             snr_and_noise_rate(math.nan, 0.007)
 
     def test_nan_noise_rate_rejected(self):
-        with pytest.raises(ValueError, match="noise rate must be nonnegative"):
+        with pytest.raises(ValueError, match=r"^noise_rate_hz: expected a finite number >= 0, "
+                                              r"got nan$"):
             snr_and_noise_rate(0.2, math.nan)
 
 

@@ -350,6 +350,14 @@ class TestCli:
          "pump.ground_offsets.1/2g: expected a finite number, got 1000"),
         ("bandwidth_sweep", {"scenarios": {"bandwidth_sweep": {"df_start_mhz": -10 ** 400}}},
          "scenarios.bandwidth_sweep.df_start_mhz: expected a finite number, got -1000"),
+        # a rate-chain stage efficiency takes the stage rule at load, not
+        # only when the budget scenario builds its chains
+        ("ti_qm", {"rates": {"p_pi": 1.5}}, "rates.p_pi: expected a number in (0, 1], got 1.5"),
+        ("ion_photon", {"rates": {"eta_conv_v": 0}},
+         "rates.eta_conv_v: expected a number in (0, 1], got 0"),
+        # a splitting this large overflows the ion's angular frequency
+        ("afc_sweep", {"ion": {"zeeman_frequency_mhz": 1e303}},
+         "ion.zeeman_frequency_mhz: zeeman_omega: expected a finite number >= 0, got inf"),
     ])
     def test_bad_value_exit_two(self, scenario, config, field, tmp_path, capsys):
         _assert_exit_two(tmp_path, capsys, scenario, config, field)

@@ -2,19 +2,26 @@
 survives JSON, a file and an empty override unchanged, an unknown key or a
 non-number (an integer beyond the float range included) in a numeric field
 fails at load naming its path, and every field has exactly one rule in
-config.FIELD_RULES."""
+config.FIELD_RULES.  The parameter dataclasses and channel builders check
+their fields with the very rule objects of the config fields they take, and
+reject the same non-numbers by field name."""
 
+import ast
 import contextlib
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hqlink.cli as cli
+import hqlink.rules as rules
+from hqlink.budget import EfficiencyStage, ErrorSource, RateChain
 from hqlink.config import (
     FIELD_RULES,
     LABEL_MAPS,
@@ -24,6 +31,15 @@ from hqlink.config import (
     _rule_pattern,
     default_config_dict,
 )
+from hqlink.ion import DECOHERENCE_EXPONENT, IonParams, decoherence_channel
+from hqlink.memory import (
+    RESIDUAL_INFIDELITY,
+    CombParams,
+    SpectralModel,
+    storage_channel,
+    storage_residual_channel,
+)
+from hqlink.photon import PBS_EXTINCTION, JitterParams, depolarizing_chi, pbs_bitflip_channel
 
 unit = st.floats(0.0, 1.0)
 white_noise_rate = st.floats(0.0, 0.75)
@@ -38,7 +54,9 @@ PIPELINE_VALUES = {
     "bootstrap_resamples": st.integers(100, 10 ** 6),
 }
 positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
-RATES_VALUES = {key: positive for key in default_config_dict()["rates"]}
+# a field in Hz is a rate, every other one a rate-chain stage efficiency
+RATES_VALUES = {key: positive if key.endswith("_hz") else st.floats(0.0, 1.0, exclude_min=True)
+                for key in default_config_dict()["rates"]}
 
 configs = st.fixed_dictionaries(
     {"scenario": st.sampled_from(SCENARIOS), "master_seed": st.integers(0, 2 ** 63)},
@@ -161,3 +179,159 @@ class TestFieldRules:
         with pytest.raises(ConfigError, match=r"pump\.native_d\.D: expected a finite "
                                               r"number >= 0, got -1\.0"):
             ExperimentConfig.defaults("budget", pump={"native_d": {"D": -1.0}})
+
+    def test_rates_efficiencies_take_the_stage_rule_at_load(self, tmp_path):
+        # each bad stage is named at load, not the first one mid-run
+        config = {"rates": {"p_pi": 1.5, "e_obj": 3}}
+        for path in ("rates.p_pi", "rates.e_obj"):
+            (tmp_path / path).mkdir()
+            _assert_rejected(config, path, tmp_path / path)
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(config)
+        assert err.value.errors == ["rates.p_pi: expected a number in (0, 1], got 1.5",
+                                    "rates.e_obj: expected a number in (0, 1], got 3"]
+
+
+# Valid keyword arguments of each parameter dataclass; each field that its
+# RULES names is then replaced by a drawn value.
+DATACLASS_KWARGS = {
+    IonParams: {},
+    JitterParams: {},
+    CombParams: {"d": 10.5, "gamma_comb_khz": 259.8},
+    SpectralModel: {},
+    EfficiencyStage: {"name": "s", "value": 0.5, "eta_h": 0.4, "eta_v": 0.6},
+    RateChain: {"name": "c", "repetition_rate_hz": 1e5, "stages": ()},
+    ErrorSource: {"name": "e", "infidelity": 0.01},
+}
+DATACLASS_FIELDS = [(cls, name) for cls in DATACLASS_KWARGS for name in cls.RULES]
+# Every field that a dataclass and the config both check, with its config
+# path: the dataclass takes the config value as it is (zeeman_omega: the
+# same bound, in rad/s).
+SHARED_FIELDS = [
+    (IonParams, "zeeman_omega", "ion.zeeman_frequency_mhz"),
+    (IonParams, "coherence_time_tau_ms", "ion.coherence_time_tau_ms"),
+    (JitterParams, "awg_rms_ns", "jitter.awg_rms_ns"),
+    (JitterParams, "transceiver_rms_ns", "jitter.transceiver_rms_ns"),
+    (JitterParams, "zeeman_omega", "ion.zeeman_frequency_mhz"),
+    *[(CombParams, key, f"comb.{key}") for key in ("d", "gamma_comb_khz", "delta_mhz",
+                                                     "finesse")],
+    (CombParams, "bandwidth_mhz", "spectral.qm_bandwidth_mhz"),
+    (SpectralModel, "gamma_natural_mhz", "spectral.gamma_natural_mhz"),
+    (SpectralModel, "qm_bandwidth_mhz", "spectral.qm_bandwidth_mhz"),
+    (SpectralModel, "zeeman_split_mhz", "ion.zeeman_frequency_mhz"),
+    *[(EfficiencyStage, "value", f"rates.{key}") for key in default_config_dict()["rates"]
+      if not key.endswith("_hz")],
+    (EfficiencyStage, "eta_h", "rates.eta_conv_h"),
+    (EfficiencyStage, "eta_v", "rates.eta_conv_v"),
+    (EfficiencyStage, "eta_h", "storage.eta_device_h"),
+    (EfficiencyStage, "eta_v", "storage.eta_device_v"),
+    *[(RateChain, "repetition_rate_hz", f"rates.r_exp{i}_hz") for i in (1, 2, 3)],
+]
+# (builder of one argument, argument name, rule, config path) of each channel
+# builder that takes one config field as it is.
+BUILDER_RULES = [
+    (lambda v: decoherence_channel(IonParams(), v), "t_us", rules.FINITE_NONNEGATIVE,
+     "scenarios.ti_qm.decoherence_time_us"),
+    (lambda v: decoherence_channel(IonParams(), 1.0, v), "exponent_a", DECOHERENCE_EXPONENT,
+     "pipeline.decoherence_exponent_a"),
+    (depolarizing_chi, "process_fidelity", rules.PROBABILITY, "pipeline.qfc_process_fidelity"),
+    (pbs_bitflip_channel, "extinction", PBS_EXTINCTION, "noise.pbs_extinction"),
+    (lambda v: storage_channel(v, 0.5), "eta_h", rules.PROBABILITY, "storage.eta_internal_h"),
+    (lambda v: storage_channel(0.5, v), "eta_v", rules.PROBABILITY, "storage.eta_internal_v"),
+    (storage_residual_channel, "avg_infidelity", RESIDUAL_INFIDELITY,
+     "storage.residual_infidelity"),
+]
+
+
+def inside(rule: rules.Rule):
+    """Values that follow a numeric rule: floats and integers of its range,
+    and numpy scalars of moderate ones (numpy warns where the comb's
+    delta/gamma overflows)."""
+    ints = st.integers(math.ceil(max(rule.lo, -2.0 ** 62)), math.floor(min(rule.hi, 2.0 ** 62)))
+    moderate = st.floats(max(rule.lo, -1e4), min(rule.hi, 1e4)).filter(
+        lambda x: x == 0 or abs(x) >= 1e-4)
+    return (st.floats(rule.lo, rule.hi) | ints | moderate.map(np.float64)
+            | moderate.map(np.float32) | ints.map(np.int64)).filter(rule.test)
+
+
+def _named_fields(exc: ValueError) -> list[str]:
+    """The fields an error message leads with: "a, b: ..." names a and b."""
+    return str(exc).split(": ")[0].split(", ")
+
+
+class TestDirectConstruction:
+    @settings(max_examples=150, deadline=None)
+    @given(target=st.sampled_from(DATACLASS_FIELDS), value=non_numbers)
+    def test_non_number_names_its_field(self, target, value):
+        cls, name = target
+        assume(not (name == "finesse" and value is None))  # null: F = delta/gamma
+        with pytest.raises(ValueError) as err:
+            cls(**{**DATACLASS_KWARGS[cls], name: value})
+        assert name in _named_fields(err.value), err.value
+        if value is not None or cls is not EfficiencyStage:  # None: an unpolarized stage
+            assert str(err.value) == f"{name}: expected {cls.RULES[name].what}, got {value!r}"
+
+    def test_every_field_rejects_each_non_number(self):
+        for cls, name in DATACLASS_FIELDS:
+            for value in (math.nan, True, False, np.bool_(True), "1", [1], 2 ** 1024):
+                with pytest.raises(ValueError, match=f"^{name}: expected "):
+                    cls(**{**DATACLASS_KWARGS[cls], name: value})
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), target=st.sampled_from(DATACLASS_FIELDS))
+    def test_value_inside_the_rule_constructs(self, data, target):
+        cls, name = target
+        value = data.draw(inside(cls.RULES[name]))
+        try:
+            made = cls(**{**DATACLASS_KWARGS[cls], name: value})
+        except ValueError as exc:
+            # only the comb relates its fields: delta below the bandwidth,
+            # finesse near delta/gamma
+            assert cls is CombParams and name not in _named_fields(exc), exc
+        else:
+            assert getattr(made, name) is value
+
+    @pytest.mark.parametrize("finesse", [7.6, 7.7, np.float32(7.7), np.float64(7.8),
+                                         np.float16(7.7)])
+    def test_comb_takes_a_consistent_finesse_of_any_real_type(self, finesse):
+        assert CombParams(d=10.5, gamma_comb_khz=259.8, finesse=finesse).finesse is finesse
+
+    @pytest.mark.parametrize("builder, arg, rule, path", BUILDER_RULES)
+    def test_builders_reject_by_their_fields_rule(self, builder, arg, rule, path):
+        for value in (math.nan, True, "1", 2 ** 1024, -1.0):
+            with pytest.raises(ValueError) as err:
+                builder(value)
+            assert str(err.value) == f"{arg}: expected {rule.what}, got {value!r}"
+
+
+class TestOneRulePerBound:
+    @pytest.mark.parametrize("cls, name, path", SHARED_FIELDS)
+    def test_dataclass_and_config_share_the_rule_object(self, cls, name, path):
+        assert cls.RULES[name] is FIELD_RULES[_rule_pattern(path)]
+
+    @pytest.mark.parametrize("builder, arg, rule, path", BUILDER_RULES)
+    def test_builder_and_config_share_the_rule_object(self, builder, arg, rule, path):
+        assert rule is FIELD_RULES[_rule_pattern(path)]
+
+    def test_rules_module_imports_the_standard_library_alone(self):
+        tree = ast.parse(Path(rules.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level == 0, "relative import"
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] in sys.stdlib_module_names, module
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rule=st.sampled_from(
+        [r for r in {id(r): r for r in FIELD_RULES.values()}.values() if r.lo == r.lo]))
+    def test_float_bounds_agree_with_the_test(self, data, rule):
+        # check_fields passes a float in [lo, hi] without the test
+        edges = [rule.lo, rule.hi, math.nextafter(rule.lo, -math.inf),
+                 math.nextafter(rule.hi, math.inf), 0.0, -0.0, math.inf, -math.inf, math.nan]
+        v = data.draw(st.floats() | st.sampled_from(edges))
+        assert (rule.lo <= v <= rule.hi) == rule.test(v)

@@ -54,11 +54,13 @@ class TestEmission:
             emit_entangled_state(ION, -1.0)
 
     def test_nonpositive_coherence_time_rejected(self):
-        with pytest.raises(ValueError, match="coherence time"):
+        with pytest.raises(ValueError, match=r"^coherence_time_tau_ms: expected a number > 0, "
+                                              r"got 0\.0$"):
             IonParams(coherence_time_tau_ms=0.0)
 
     def test_nan_coherence_time_rejected(self):
-        with pytest.raises(ValueError, match="coherence time"):
+        with pytest.raises(ValueError, match=r"^coherence_time_tau_ms: expected a number > 0, "
+                                              r"got nan$"):
             IonParams(coherence_time_tau_ms=math.nan)
 
 

@@ -62,15 +62,18 @@ class TestAfcEfficiency:
         assert coeffs[0] == pytest.approx(expected, rel=1e-6)
 
     def test_nan_storage_time_rejected(self):
-        with pytest.raises(ValueError, match="storage time must be nonnegative"):
+        with pytest.raises(ValueError, match=r"^t_storage_ns: expected a finite number >= 0, "
+                                              r"got nan$"):
             afc_efficiency(COMB, math.nan)
 
-    @pytest.mark.parametrize("name", ["d", "gamma_comb_khz", "delta_mhz", "bandwidth_mhz",
-                                      "finesse"])
-    def test_boolean_field_rejected(self, name):
+    @pytest.mark.parametrize("name, rule", [
+        ("d", "a positive finite number"), ("gamma_comb_khz", "a positive finite number"),
+        ("delta_mhz", "a positive finite number"), ("bandwidth_mhz", "a positive finite number"),
+        ("finesse", "a finite number or null")])
+    def test_boolean_field_rejected(self, name, rule):
         fields = {"d": 10.5, "gamma_comb_khz": 259.8, "delta_mhz": 2.0, "bandwidth_mhz": 48.2,
                   "finesse": None, name: True}
-        with pytest.raises(ValueError, match=f"^{name} must be a finite number, got True$"):
+        with pytest.raises(ValueError, match=f"^{name}: expected {rule}, got True$"):
             CombParams(**fields)
 
     def test_finesse_consistency_enforced(self):

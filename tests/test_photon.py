@@ -15,7 +15,6 @@ from hqlink.photon import (
     dark_noise_admixture,
     dark_noise_infidelity,
     depolarizing_chi,
-    identity_chi,
     jitter_dephasing_channel,
     jitter_infidelity,
     jitter_phase_uncertainty,
@@ -98,22 +97,23 @@ class TestJitter:
         ("transceiver_rms_ns", False),
     ])
     def test_non_finite_component_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        with pytest.raises(ValueError, match=f"^{name}: expected a finite number >= 0, got "):
             JitterParams(**{name: value})
 
     def test_negative_component_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match=r"^transceiver_rms_ns: expected a finite number "
+                                              r">= 0, got -0\.1$"):
             JitterParams(transceiver_rms_ns=-0.1)
 
 
 class TestPbs:
     def test_extinction_must_exceed_one(self):
-        with pytest.raises(ValueError, match="exceed 1"):
+        with pytest.raises(ValueError, match=r"^extinction: expected a number > 1, got 1\.0$"):
             pbs_bitflip_channel(1.0)
 
     def test_nan_extinction_rejected(self):
         # fails its own check, not later inside bitflip_channel
-        with pytest.raises(ValueError, match="extinction ratio must exceed 1"):
+        with pytest.raises(ValueError, match=r"^extinction: expected a number > 1, got nan$"):
             pbs_bitflip_channel(math.nan)
 
     def test_operating_point(self):
@@ -206,7 +206,7 @@ class TestDarkNoise:
 
 class TestProcessMatrix:
     def test_identity_chi_gives_identity_channel(self):
-        ch = process_matrix_channel(identity_chi())
+        ch = process_matrix_channel(depolarizing_chi(1.0))
         assert len(ch.kraus_ops) == 1
         np.testing.assert_allclose(np.abs(ch.kraus_ops[0]), np.eye(2), atol=1e-12)
 
@@ -268,11 +268,11 @@ class TestProcessFidelity:
 
     def test_fully_depolarizing_vs_identity(self):
         chi = ProcessMatrix(np.eye(4, dtype=complex) / 4)
-        assert process_fidelity(chi, identity_chi()) == pytest.approx(0.25, abs=1e-12)
+        assert process_fidelity(chi, depolarizing_chi(1.0)) == pytest.approx(0.25, abs=1e-12)
 
     def test_reference_chi_file(self):
         chi = load_reference_chi()
-        f = process_fidelity(chi, identity_chi())
+        f = process_fidelity(chi, depolarizing_chi(1.0))
         assert f == pytest.approx(0.9732, abs=0.0014)
 
 

@@ -284,26 +284,34 @@ class TestValidation:
         with pytest.raises(StateError, match="norm nan"):
             PureState(np.array([np.nan, 1.0]))
 
+    # a NaN or infinite entry fails the shared matrix check, before any
+    # arithmetic on it could warn (tier-1 turns RuntimeWarning into an error)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.inf)])
     @pytest.mark.parametrize("subnormalized", [False, True])
-    def test_nan_off_diagonals_rejected(self, subnormalized):
-        m = np.array([[0.5, np.nan], [np.nan, 0.5]], dtype=complex)
-        with pytest.raises(StateError, match="not Hermitian"):
+    def test_non_finite_off_diagonals_rejected(self, subnormalized, bad):
+        m = np.array([[0.5, bad], [bad, 0.5]], dtype=complex)
+        with pytest.raises(StateError, match="non-finite entry"):
             DensityMatrix(m, subnormalized=subnormalized)
 
-    def test_nan_matrix_rejected_before_eigenvalues(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_matrix_rejected_before_eigenvalues(self, bad):
         # np.linalg.eigvalsh raises LinAlgError on an all-NaN matrix
-        with pytest.raises(StateError, match="not Hermitian"):
-            DensityMatrix(np.full((4, 4), np.nan, dtype=complex))
+        with pytest.raises(StateError, match="non-finite entry"):
+            DensityMatrix(np.full((4, 4), bad, dtype=complex))
 
-    def test_nan_observable_rejected(self):
-        with pytest.raises(StateError, match="not Hermitian"):
-            Observable(np.full((2, 2), np.nan))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_observable_rejected(self, bad):
+        with pytest.raises(StateError, match="non-finite entry"):
+            Observable(np.full((2, 2), bad))
 
-    @pytest.mark.parametrize("trace_preserving, message", [
-        (True, "do not sum to identity"), (False, "exceeds identity")])
-    def test_nan_kraus_operators_rejected(self, trace_preserving, message):
-        ops = (np.eye(2) / np.sqrt(2), np.array([[np.nan, 0], [0, 0.5]]))
-        with pytest.raises(StateError, match=message):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("trace_preserving", [True, False])
+    @pytest.mark.parametrize("stack", [tuple, np.array])
+    def test_non_finite_kraus_operators_rejected(self, stack, trace_preserving, bad):
+        # the bad entry sits in the second operator, which a stacked array
+        # does not pass through the per-operator check
+        ops = stack((np.eye(2) / np.sqrt(2), np.array([[bad, 0], [0, 0.5]])))
+        with pytest.raises(StateError, match="non-finite entry"):
             QuantumChannel(ops, trace_preserving=trace_preserving)
 
     @pytest.mark.parametrize("ops, message", [
