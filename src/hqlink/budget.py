@@ -48,6 +48,10 @@ class EfficiencyStage(rules.CheckedFields):
 
     @classmethod
     def polarized(cls, name: str, eta_h: float, eta_v: float) -> "EfficiencyStage":
+        """A stage of the mean of its two polarizations' efficiencies, each
+        checked before they are averaged."""
+        rules.check("eta_h", cls.RULES["eta_h"], eta_h)
+        rules.check("eta_v", cls.RULES["eta_v"], eta_v)
         return cls(name=name, value=(eta_h + eta_v) / 2, eta_h=eta_h, eta_v=eta_v)
 
 

@@ -46,7 +46,14 @@ class CombParams(rules.CheckedFields):
         super().__post_init__()
         if self.bandwidth_mhz <= self.delta_mhz:
             raise ValueError("bandwidth must exceed the tooth spacing")
-        implied = self.delta_mhz * 1e3 / self.gamma_comb_khz
+        try:
+            with np.errstate(over="ignore"):  # numpy scalars warn on an overflow
+                implied = self.delta_mhz * 1e3 / self.gamma_comb_khz
+        except ZeroDivisionError:  # a Fraction tooth width whose float() is 0
+            implied = math.inf
+        # F = delta / gamma overflows for a tooth width near 0 (and underflows
+        # for a spacing near 0): an implied finesse must be positive and finite
+        rules.check("delta_mhz * 1e3 / gamma_comb_khz", rules.POSITIVE_FINITE, implied)
         if self.finesse is None:
             object.__setattr__(self, "finesse", implied)
         elif abs(self.finesse - implied) > FINESSE_CONSISTENCY_RTOL * implied:

@@ -18,9 +18,11 @@ Z (x) Z evaluates to +1 on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter, sub
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -59,15 +61,58 @@ class StateError(ValueError):
     """Raised when a state or channel violates its construction invariants."""
 
 
-def _as_complex_matrix(m) -> np.ndarray:
+def _as_complex_matrix(m) -> tuple[np.ndarray, list]:
+    """A complex copy of ``m`` and its entries as a flat list, after the
+    shape, dimension and finiteness checks, in that order."""
     a = np.array(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise StateError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] > MAX_DIM:
         raise StateError(f"dimension {a.shape[0]} exceeds the two-qubit limit")
-    if not np.isfinite(a).all():  # before arithmetic on a NaN or inf warns
+    flat = a.ravel().tolist()
+    # a sum of finite entries is finite unless it overflows; only then, or
+    # for a NaN or an inf, are the entries tested one by one (before any
+    # arithmetic on a NaN or an inf warns)
+    total = sum(flat)
+    if not (math.isfinite(total.real + total.imag) or np.isfinite(a).all()):
         raise StateError("matrix has a non-finite entry")
-    return a
+    return a, flat
+
+
+def _mirror_getters(n: int) -> tuple[itemgetter, itemgetter]:
+    """Getters of the entries on and above the diagonal of a flattened
+    n x n matrix, and of their mirror images below it."""
+    upper = [(i * n + j, j * n + i) for i in range(n) for j in range(i, n)]
+    return itemgetter(*(k for k, _ in upper)), itemgetter(*(k for _, k in upper))
+
+
+_MIRRORS = {n: _mirror_getters(n) for n in range(2, MAX_DIM + 1)}
+
+
+def _python_skew(flat: list, upper: itemgetter, lower: itemgetter) -> float:
+    """max |m - m^dag| over the entries of a flattened finite m, by
+    Python's complex arithmetic."""
+    try:
+        return max(map(abs, map(sub, upper(flat), map(complex.conjugate, lower(flat)))))
+    except OverflowError:  # |z| beyond the float range
+        return math.inf
+
+
+def _checked_hermitian(matrix, what: str) -> np.ndarray:
+    """A complex copy of ``matrix`` after the shape, dimension, finiteness
+    and Hermiticity checks, in that order; ``what`` names it in the
+    Hermiticity error."""
+    m, flat = _as_complex_matrix(matrix)
+    # Python's complex abs may differ from numpy's in the last bit, so
+    # numpy's value of max |m - m^dag| decides unless Python's lies below
+    # half the tolerance (numpy's alone for dimensions 0 and 1)
+    mirrors = _MIRRORS.get(m.shape[0])
+    if mirrors is None or not _python_skew(flat, *mirrors) <= HERMITIAN_TOL / 2:
+        with np.errstate(over="ignore"):  # a skew that overflows fails the check
+            skew = np.abs(m - m.conj().T).max()
+        if not skew <= HERMITIAN_TOL:
+            raise StateError(f"{what} is not Hermitian within tolerance")
+    return m
 
 
 @dataclass(frozen=True)
@@ -98,9 +143,7 @@ class PureState:
 def _hermitian_with_trace(matrix, subnormalized: bool) -> tuple[np.ndarray, float]:
     """A complex copy of a density-matrix candidate and its trace, after the
     shape, finiteness, Hermiticity and trace checks."""
-    m = _as_complex_matrix(matrix)
-    if not np.abs(m - m.conj().T).max() <= HERMITIAN_TOL:
-        raise StateError("density matrix is not Hermitian within tolerance")
+    m = _checked_hermitian(matrix, "density matrix")
     tr = float(m.trace().real)
     if subnormalized:
         if not -TRACE_TOL <= tr <= 1.0 + TRACE_TOL:
@@ -125,10 +168,17 @@ class DensityMatrix:
 
     def __post_init__(self):
         m, tr = _hermitian_with_trace(self.matrix, self.subnormalized)
-        evals = np.linalg.eigvalsh(m)
-        if not evals.min() >= EIG_FLOOR:
-            raise StateError(f"negative eigenvalue {evals.min()} below floor {EIG_FLOOR}")
-        if evals.min() < 0.0:
+        # np.linalg.eigvalsh(m) from numpy's own kernel, without the
+        # wrapper's argument checks: where the wrapper raises LinAlgError,
+        # the kernel returns NaN and raises the invalid flag (the wrapper
+        # ignores the other flags)
+        with np.errstate(all="ignore"):
+            lowest = _umath_linalg.eigvalsh_lo(m, signature="D->d")[0]  # ascending
+        if not lowest >= EIG_FLOOR:
+            if math.isnan(lowest):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            raise StateError(f"negative eigenvalue {lowest} below floor {EIG_FLOOR}")
+        if lowest < 0.0:
             # clip rounding-level negatives, rescale to the original trace
             w, v = np.linalg.eigh(m)
             w = np.clip(w, 0.0, None)
@@ -156,7 +206,7 @@ class DensityMatrix:
 
     @property
     def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
+        return float(self.matrix.trace().real)
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
@@ -176,9 +226,7 @@ class Observable:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_complex_matrix(self.matrix)
-        if not np.abs(m - m.conj().T).max() <= HERMITIAN_TOL:
-            raise StateError("observable is not Hermitian within tolerance")
+        m = _checked_hermitian(self.matrix, "observable")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -187,10 +235,15 @@ class Observable:
         return self.matrix.shape[0]
 
 
+# The identity of each dimension a channel may have.
+_EYES = tuple(_read_only(np.eye(d)) for d in range(MAX_DIM + 1))
+
+
 @dataclass(frozen=True)
 class QuantumChannel:
     """Completely positive map given by its Kraus operators, held as one
-    read-only (n, d, d) array.
+    read-only (n, d, d) array, and their adjoints K^dag as a read-only
+    (n, d, d) view.
 
     Trace-preserving channels satisfy sum(K^dag K) = I within 1e-9; heralded
     (trace-decreasing) channels only require sum(K^dag K) <= I.
@@ -198,27 +251,33 @@ class QuantumChannel:
 
     kraus_ops: np.ndarray
     trace_preserving: bool = True
+    adjoint_ops: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # shapes before stacking, as np.array raises a bare ValueError on
         # ragged operators; the operators of an array share the first one's
         ops = self.kraus_ops
-        mats = [_as_complex_matrix(k) for k in (ops[:1] if isinstance(ops, np.ndarray) else ops)]
+        stacked = isinstance(ops, np.ndarray)
+        mats = [_as_complex_matrix(k)[0] for k in (ops[:1] if stacked else ops)]
         if not mats:
             raise StateError("channel needs at least one Kraus operator")
         if any(k.shape != mats[0].shape for k in mats):
             raise StateError("Kraus operators must share one dimension")
         ops = _read_only(np.array(ops, dtype=complex))
-        if not np.isfinite(ops).all():  # the operators of an array past the first
+        if stacked and not np.isfinite(ops).all():  # the operators past the first
             raise StateError("matrix has a non-finite entry")
-        total = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
+        # sum_k K_k^dag K_k as one product of the (n d, d) stack with itself
+        n, d = ops.shape[:2]
+        rows = ops.reshape(n * d, d)
+        total = rows.conj().T @ rows
         if self.trace_preserving:
-            if not np.abs(total - np.eye(ops.shape[1])).max() <= CPTP_TOL:
+            if not np.abs(total - _EYES[d]).max() <= CPTP_TOL:
                 raise StateError("Kraus operators do not sum to identity")
         elif not (np.isfinite(total).all()
                   and np.linalg.eigvalsh(total).max() <= 1.0 + CPTP_TOL):
             raise StateError("trace-decreasing channel exceeds identity")
         object.__setattr__(self, "kraus_ops", ops)
+        object.__setattr__(self, "adjoint_ops", _read_only(ops.conj().transpose(0, 2, 1)))
 
     @property
     def dim(self) -> int:
@@ -244,10 +303,8 @@ def apply_channel(rho: DensityMatrix, ch: QuantumChannel) -> DensityMatrix:
     """sum_i K_i rho K_i^dag; heralded channels return a subnormalized state."""
     if rho.dim != ch.dim:
         raise StateError(f"dimension mismatch: state {rho.dim}, channel {ch.dim}")
-    k = ch.kraus_ops
-    out = (k @ rho.matrix @ k.conj().transpose(0, 2, 1)).sum(axis=0)
-    sub = rho.subnormalized or not ch.trace_preserving
-    return DensityMatrix(out, subnormalized=sub)
+    out = (ch.kraus_ops @ rho.matrix @ ch.adjoint_ops).sum(axis=0)
+    return DensityMatrix(out, subnormalized=rho.subnormalized or not ch.trace_preserving)
 
 
 def expectation(rho: DensityMatrix, obs: Observable) -> float:
@@ -373,8 +430,7 @@ def matrix_to_json_dict(m: np.ndarray) -> dict:
     "%.15g" formatting pass."""
     a = np.asarray(m, dtype=complex)
     n = a.size
-    values = np.concatenate((a.real.reshape(-1), a.imag.reshape(-1))).tolist()
-    rounded = list(map(float, ("%.15g " * len(values) % tuple(values)).split()))
+    rounded = round15_all(np.concatenate((a.real.reshape(-1), a.imag.reshape(-1))).tolist())
     return {"dim": a.shape[0], "re": rounded[:n], "im": rounded[n:]}
 
 
@@ -388,3 +444,8 @@ def matrix_from_json_dict(d: dict) -> np.ndarray:
 def round15(x: float) -> float:
     # fixed 15-significant-digit round-trip keeps reports byte-stable
     return float(f"{float(x):.15g}")
+
+
+def round15_all(values: list) -> list[float]:
+    """round15 of each value, in one "%.15g" formatting pass."""
+    return list(map(float, ("%.15g " * len(values) % tuple(values)).split()))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,7 @@ from .qstate import (
     werner,
     white_noise_channel,
     round15,
+    round15_all,
 )
 from .rng import child_rng
 from .tomography import ChshSettings, bootstrap_uncertainty, mle_reconstruct
@@ -234,12 +235,18 @@ def _run_budget(cfg: ExperimentConfig) -> RunReport:
     return report
 
 
+def _rounded_rows(xs: list, ys: list) -> list[tuple[float, float]]:
+    """(round15(x), round15(y)) rows, every value rounded in one pass."""
+    rounded = round15_all(xs + ys)
+    return list(zip(rounded[:len(xs)], rounded[len(xs):]))
+
+
 def _run_afc_sweep(cfg: ExperimentConfig) -> RunReport:
     scen = cfg.scenario_section()
     report = RunReport(scenario=cfg.scenario, seed=cfg.master_seed)
-    ts = np.linspace(scen["t_start_ns"], scen["t_stop_ns"], int(scen["points"]))
+    ts = np.linspace(scen["t_start_ns"], scen["t_stop_ns"], int(scen["points"])).tolist()
     report.sweep_columns = ("t_storage_ns", "afc_efficiency")
-    report.sweep = [(round15(t), round15(memory.afc_efficiency(cfg.comb, t))) for t in ts]
+    report.sweep = _rounded_rows(ts, [memory.afc_efficiency(cfg.comb, t) for t in ts])
     report.add("efficiency_at_500ns", memory.afc_efficiency(cfg.comb, 500.0))
     report.add("efficiency_at_1us", memory.afc_efficiency(cfg.comb, 1000.0))
     return report
@@ -248,14 +255,15 @@ def _run_afc_sweep(cfg: ExperimentConfig) -> RunReport:
 def _run_bandwidth_sweep(cfg: ExperimentConfig) -> RunReport:
     scen = cfg.scenario_section()
     report = RunReport(scenario=cfg.scenario, seed=cfg.master_seed)
-    dfs = np.linspace(scen["df_start_mhz"], scen["df_stop_mhz"], int(scen["points"]))
-    rows = []
-    for df in dfs:
-        model = replace(cfg.spectral, detuning_mhz=float(df))
-        rows.append((round15(float(df)), round15(memory.bandwidth_match(model))))
+    dfs = np.linspace(scen["df_start_mhz"], scen["df_stop_mhz"], int(scen["points"])).tolist()
+    sp = cfg.spectral
+    # each point's model from the constructor, which runs the rules that
+    # dataclasses.replace would, at less cost
+    matches = [memory.bandwidth_match(memory.SpectralModel(
+        sp.gamma_natural_mhz, sp.zeeman_split_mhz, sp.qm_bandwidth_mhz, df)) for df in dfs]
     report.sweep_columns = ("detuning_mhz", "bandwidth_match")
-    report.sweep = rows
-    report.add("peak_bandwidth_match", max(v for _, v in rows))
+    report.sweep = _rounded_rows(dfs, matches)
+    report.add("peak_bandwidth_match", max(v for _, v in report.sweep))
     return report
 
 
@@ -322,9 +330,9 @@ def emit_report(report: RunReport, out_dir: str | Path, fmt: str = "json") -> li
     if report.rate_table:
         written.append(_write(out / f"{stem}_rates.csv", bd.rate_table_csv(report.rate_table)))
     if report.sweep:
-        lines = [",".join(report.sweep_columns)]
-        lines += [",".join(f"{v:.15g}" for v in row) for row in report.sweep]
-        written.append(_write(out / f"{stem}_sweep.csv", "\n".join(lines) + "\n"))
+        row = ",".join(["%.15g"] * len(report.sweep_columns)) + "\n"
+        written.append(_write(out / f"{stem}_sweep.csv", ",".join(report.sweep_columns) + "\n"
+                              + "".join([row % values for values in report.sweep])))
     if report.counts_records:
         written.append(_write(out / f"{stem}_counts.csv",
                               tomography.records_to_csv(report.counts_records)))

@@ -8,7 +8,8 @@ qubit), which is tomographically complete for two qubits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -21,6 +22,7 @@ from .qstate import (
     StateError,
     X,
     Z,
+    _read_only,
     bell_state,
     expectation,
     fidelity,
@@ -377,14 +379,20 @@ EIGVAL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ChshSettings:
-    """Four dichotomic observables; each must have eigenvalues +-1."""
+    """Four dichotomic observables; each must have eigenvalues +-1.
+
+    What chsh() and simulate_chsh() read is built once, with the settings:
+    per setting (A, B), in pairs() order, a ``ChshTerm``.
+    """
 
     a0: Observable
     a1: Observable
     b0: Observable
     b1: Observable
+    terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        eigen = {}
         for name in ("a0", "a1", "b0", "b1"):
             obs = getattr(self, name)
             if obs.dim != 2:
@@ -392,6 +400,9 @@ class ChshSettings:
             evals = np.linalg.eigvalsh(obs.matrix)
             if np.max(np.abs(np.abs(evals) - 1.0)) > EIGVAL_TOL:
                 raise StateError(f"{name} eigenvalues {evals} are not +-1")
+            eigen[id(obs)] = np.linalg.eigh(obs.matrix)
+        object.__setattr__(self, "terms", tuple(
+            ChshTerm.of(a, b, sign, eigen[id(a)], eigen[id(b)]) for a, b, sign in self.pairs()))
 
     @classmethod
     def from_angles(cls, a0: float, a1: float, b0: float, b1: float) -> "ChshSettings":
@@ -402,44 +413,63 @@ class ChshSettings:
 
     @classmethod
     def optimal(cls) -> "ChshSettings":
-        """Tsirelson-optimal angles for the phase-zero entangled state."""
-        return cls.from_angles(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
+        """Tsirelson-optimal angles for the phase-zero entangled state (one
+        shared settings object)."""
+        return _OPTIMAL
 
     def pairs(self):
         return ((self.a0, self.b0, +1), (self.a0, self.b1, +1),
                 (self.a1, self.b0, +1), (self.a1, self.b1, -1))
 
 
+class ChshTerm(NamedTuple):
+    """One setting (A, B) of a CHSH sum: the sign of its term, the joint
+    observable A (x) B, and the table of product eigenvectors
+    u = kron(va, vb) (read-only, with its conjugate) whose column 2 i + j,
+    va[:, i] (x) vb[:, j], is the outcome of value sign(wa_i) sign(wb_j)."""
+
+    sign: int
+    joint: Observable
+    eigenvectors: np.ndarray
+    eigenvectors_conj: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, a: Observable, b: Observable, sign: int, eigen_a, eigen_b) -> "ChshTerm":
+        (wa, va), (wb, vb) = eigen_a, eigen_b
+        u = kron(va, vb)
+        return cls(sign, Observable(kron(a.matrix, b.matrix)), _read_only(u),
+                   _read_only(u.conj()), _read_only(np.outer(np.sign(wa), np.sign(wb)).ravel()))
+
+
+_OPTIMAL = ChshSettings.from_angles(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
+
+
 def chsh(rho: DensityMatrix, s: ChshSettings) -> float:
     """S = <A0 B0> + <A0 B1> + <A1 B0> - <A1 B1>."""
     total = 0.0
-    for a, b, sign in s.pairs():
-        joint = Observable(kron(a.matrix, b.matrix))
-        total += sign * expectation(rho, joint)
+    for term in s.terms:
+        total += term.sign * expectation(rho, term.joint)
     return total
 
 
 def simulate_chsh(rho: DensityMatrix, s: ChshSettings, shots_total: int,
                   snr: float | None, rng_seed) -> tuple[float, float]:
-    """Sampled CHSH value and its standard error, shots split over 4 settings.
-
-    Outcome 2 i + j of a setting (A, B) projects on column 2 i + j of
-    kron(va, vb), va[:, i] (x) vb[:, j], and has value sign(wa_i) sign(wb_j).
-    """
+    """Sampled CHSH value and its standard error, shots split over 4 settings:
+    one multinomial draw per setting, in order, over the outcome
+    probabilities u_j^dag rho u_j (real parts, clipped at 0) of its ChshTerm."""
     rng = as_rng(rng_seed)
     shots_each = split_heralds(shots_total, 4)
     state = _with_dark_noise(rho, snr).matrix
-    eigen = {id(o): np.linalg.eigh(o.matrix) for o in (s.a0, s.a1, s.b0, s.b1)}  # once each
     total, var = 0.0, 0.0
-    for (a, b, sign), shots in zip(s.pairs(), shots_each):
+    for term, shots in zip(s.terms, shots_each):
         if shots <= 0:
             raise ValueError("need at least one shot per CHSH setting")
-        (wa, va), (wb, vb) = eigen[id(a)], eigen[id(b)]
-        u = kron(va, vb)
-        probs = np.clip(np.einsum("ij,ik,kj->j", u.conj(), state, u).real, 0, None)
+        probs = np.einsum("ij,ik,kj->j", term.eigenvectors_conj, state, term.eigenvectors)
+        probs = np.clip(probs.real, 0, None)
         counts = rng.multinomial(shots, probs / probs.sum())
-        e = float(counts @ np.outer(np.sign(wa), np.sign(wb)).ravel()) / shots
-        total += sign * e
+        e = float(counts @ term.values) / shots
+        total += term.sign * e
         var += (1 - e * e) / shots
     return total, math.sqrt(var)
 

@@ -74,6 +74,17 @@ class TestRates:
         assert end_to_end_efficiency(qm) == pytest.approx(0.74 * 0.189, rel=1e-12)
         assert stage.resolved("V") == 0.183
 
+    @pytest.mark.parametrize("eta_h, eta_v, field, shown", [
+        ("0.5", 0.4, "eta_h", "'0.5'"), (0.5, "0.4", "eta_v", "'0.4'"),
+        (None, 0.4, "eta_h", "None"), (0.5, 1.5, "eta_v", "1.5"), (0.0, 0.4, "eta_h", "0.0"),
+        (math.nan, 0.4, "eta_h", "nan"), (True, 0.4, "eta_h", "True")])
+    def test_polarized_stage_checks_each_efficiency_before_averaging(self, eta_h, eta_v,
+                                                                     field, shown):
+        # a string once reached (eta_h + eta_v) / 2 and raised TypeError
+        with pytest.raises(ValueError, match=rf"^{field}: expected a number in \(0, 1\], "
+                                             rf"got {shown}$"):
+            EfficiencyStage.polarized("x", eta_h, eta_v)
+
     def test_single_stage(self):
         assert end_to_end_efficiency([EfficiencyStage("s", 0.5)]) == 0.5
 

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,10 @@ from hypothesis import strategies as st
 
 import hqlink
 import hqlink.cli as cli
+from hqlink import memory
 from hqlink.budget import ErrorSource
 from hqlink.config import BUDGET_KEYS, ConfigError, ExperimentConfig, default_config_dict
+from hqlink.memory import bandwidth_match
 from hqlink.qstate import StateError
 from hqlink.scenarios import RunReport, analytic_fidelity, emit_report, run
 from hqlink.tomography import NonConvergenceError
@@ -197,6 +200,41 @@ class TestScenarioRuns:
         first = tuple(map(float, lines[1].split(",")))
         assert first[0] == 500.0
         assert first[1] == pytest.approx(0.4376, abs=0.002)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=12))
+    @example(rows=[(-0.0, 5e-324), (1e300, -1e300), (2.2250738585072014e-308, -5e-324),
+                   (0.1, 1 / 3), (math.inf, math.nan), (-math.inf, 0.0), (123456789.0, 1e16)])
+    def test_sweep_csv_is_the_per_row_join(self, tmp_path_factory, rows):
+        # the sweep CSV is formatted in one "%.15g" pass per row; its text is
+        # the join of f"{v:.15g}" per value it replaced
+        report = RunReport(scenario="bandwidth_sweep", seed=3)
+        report.sweep_columns = ("detuning_mhz", "bandwidth_match")
+        report.sweep = rows
+        out = tmp_path_factory.mktemp("sweep")
+        emit_report(report, out)
+        lines = [",".join(report.sweep_columns)]
+        lines += [",".join(f"{v:.15g}" for v in row) for row in rows]
+        assert (out / "bandwidth_sweep_seed3_sweep.csv").read_text() == "\n".join(lines) + "\n"
+
+    def test_bandwidth_match_runs_once_per_sweep_point(self, monkeypatch):
+        # the benchmark's traced run counts `points` calls of the hook on
+        # memory.bandwidth_match; each point's model is the one
+        # dataclasses.replace made
+        models = []
+
+        def counted(model):
+            models.append(model)
+            return bandwidth_match(model)
+
+        monkeypatch.setattr(memory, "bandwidth_match", counted)
+        cfg = ExperimentConfig.defaults("bandwidth_sweep")
+        scen = cfg.scenario_section()
+        report = run(cfg)
+        dfs = np.linspace(scen["df_start_mhz"], scen["df_stop_mhz"], scen["points"])
+        assert len(models) == scen["points"] == len(report.sweep) == 121
+        assert models == [replace(cfg.spectral, detuning_mhz=float(df)) for df in dfs]
+        assert all(type(m.detuning_mhz) is float for m in models)
 
     def test_report_paths_embed_scenario_and_seed(self, tmp_path):
         rep = run(ExperimentConfig.defaults("budget", master_seed=31))

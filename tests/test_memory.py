@@ -2,10 +2,12 @@
 the heralded storage channel."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hqlink.config import ConfigError, ExperimentConfig
 from hqlink.memory import (
     COMB_B,
     CombParams,
@@ -81,6 +83,26 @@ class TestAfcEfficiency:
             CombParams(d=10.5, gamma_comb_khz=259.8, delta_mhz=2.0, finesse=5.0)
         implied = CombParams(d=10.5, gamma_comb_khz=259.8, delta_mhz=2.0)
         assert implied.finesse == pytest.approx(2.0e3 / 259.8, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [5e-324, np.float64(5e-324), Fraction(1, 10 ** 400)],
+                             ids=["float", "float64", "fraction"])
+    @pytest.mark.parametrize("finesse", [None, 7.7])
+    def test_implied_finesse_must_be_finite(self, gamma, finesse):
+        # delta / gamma overflowed: to inf silently, with a RuntimeWarning
+        # (an error under tier-1) and as ZeroDivisionError, in that order
+        with pytest.raises(ValueError, match=r"^delta_mhz \* 1e3 / gamma_comb_khz: expected a "
+                                             r"positive finite number, got (np\.float64\()?inf"):
+            CombParams(d=10.5, gamma_comb_khz=gamma, delta_mhz=2.0, finesse=finesse)
+
+    def test_implied_finesse_must_be_positive(self):
+        # delta * 1e3 / gamma underflows to 0, which afc_efficiency divides by
+        with pytest.raises(ValueError, match=r"^delta_mhz \* 1e3 / gamma_comb_khz: expected a "
+                                             r"positive finite number, got 0\.0$"):
+            CombParams(d=10.5, gamma_comb_khz=1e308, delta_mhz=5e-324)
+
+    def test_tiny_tooth_width_fails_at_config_load(self):
+        with pytest.raises(ConfigError, match="comb: delta_mhz"):
+            ExperimentConfig.from_dict({"comb": {"gamma_comb_khz": 5e-324, "finesse": None}})
 
 
 def eta_bw_closed_form(m: SpectralModel, df: float = None) -> float:

@@ -30,6 +30,7 @@ from hqlink.qstate import (
     matrix_to_json_dict,
     maximally_mixed,
     round15,
+    round15_all,
     trace_distance,
     werner,
     white_noise_channel,
@@ -373,6 +374,13 @@ class TestSerialization:
         d = matrix_to_json_dict(m)
         for key, part in (("re", m.real), ("im", m.imag)):
             assert [v.hex() for v in d[key]] == [round15(v).hex() for v in part.ravel()]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats() | st.integers(-10 ** 20, 10 ** 20), max_size=30))
+    @example([-0.0, 5e-324, 2.2250738585072014e-308, 1e300, math.inf, math.nan, 7, 0.1])
+    def test_round15_all_is_round15_of_each(self, values):
+        # the sweeps round their rows in one pass
+        assert [v.hex() for v in round15_all(values)] == [round15(v).hex() for v in values]
 
     def test_dim_preserved(self):
         d = matrix_to_json_dict(np.eye(2, dtype=complex) / 2)

@@ -2,6 +2,7 @@
 bootstrap error bars."""
 
 import csv
+import dataclasses
 import io
 import math
 
@@ -16,6 +17,8 @@ from hqlink.photon import dark_noise_admixture
 from hqlink.qstate import (
     DensityMatrix,
     Observable,
+    StateError,
+    X,
     bell_state,
     expectation,
     fidelity,
@@ -514,6 +517,38 @@ class TestChshTables:
             assert chsh(rho, s) == chsh_oracle(rho, s)
             assert simulate_chsh(rho, s, 999, 28.0, seed) == simulate_chsh_oracle(
                 rho, s, 999, 28.0, seed)
+
+    def test_optimal_settings_are_one_read_only_object(self):
+        s = ChshSettings.optimal()
+        assert ChshSettings.optimal() is s
+        built = ChshSettings.from_angles(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
+        for name in ("a0", "a1", "b0", "b1"):
+            assert np.array_equal(getattr(s, name).matrix, getattr(built, name).matrix)
+            assert not getattr(s, name).matrix.flags.writeable
+        for term, again in zip(s.terms, built.terms):
+            assert term.sign == again.sign
+            for a, b in zip(term[1:], again[1:]):
+                a, b = (x.matrix if isinstance(x, Observable) else x for x in (a, b))
+                assert a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.a0 = built.a1
+
+    def test_joint_observable_check_runs_at_construction(self):
+        # X with 0.9e-10 above the diagonal passes the Hermiticity check, but
+        # X (x) X carries twice that skew: its joint observable, once built
+        # by chsh(), now fails where the settings are made
+        a = Observable(X + np.array([[0, 0.9e-10], [0, 0]]))
+        with pytest.raises(StateError, match="^observable is not Hermitian within tolerance$"):
+            ChshSettings(a, a, a, a)
+
+    def test_terms_follow_the_pairs(self):
+        # one term per setting of pairs(), each from that setting's observables
+        s = ChshSettings.from_angles(0.3, 1.1, -0.4, 2.0)
+        assert [t.sign for t in s.terms] == [sign for _, _, sign in s.pairs()]
+        for (a, b, _), term in zip(s.pairs(), s.terms):
+            assert np.array_equal(term.joint.matrix, np.kron(a.matrix, b.matrix))
+            assert np.array_equal(term.eigenvectors_conj, term.eigenvectors.conj())
 
     def test_needs_a_shot_per_setting(self):
         with pytest.raises(ValueError, match="need at least one shot per CHSH setting"):
