@@ -33,7 +33,6 @@ from .photon import (
     dark_noise_admixture,
     jitter_dephasing_channel,
     pbs_bitflip_channel,
-    process_fidelity,
     process_matrix_channel,
 )
 from .qstate import (

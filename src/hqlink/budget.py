@@ -83,15 +83,15 @@ class ErrorSource(rules.CheckedFields):
     RULES = {"infidelity": rules.PROBABILITY}
 
 
-def rate(chain: RateChain, polarization: str | None = None) -> float:
-    """Event rate of the chain in Hz."""
+def rate(chain: RateChain) -> float:
+    """Event rate of the chain in Hz; polarized stages average H and V."""
     if not chain.stages:
         raise ValueError(f"chain {chain.name} has no stages")
     value = chain.repetition_rate_hz
     for pf in chain.prefactors.values():
         value *= pf
     for stage in chain.stages:
-        value *= stage.resolved(polarization)
+        value *= stage.resolved(None)
     return value
 
 
@@ -142,11 +142,11 @@ def _csv(rows) -> str:
     return buf.getvalue()
 
 
-def error_budget_csv(sources, mode: str = "sum") -> str:
-    """Ledger table: one row per source plus the composed total."""
+def error_budget_csv(sources) -> str:
+    """Ledger table: one row per source plus the first-order (summed) total."""
     return _csv([["error_source", "infidelity_percent", "model_ref"],
                  *([s.name, f"{s.infidelity * 100:.6g}", s.model_ref or ""] for s in sources),
-                 ["total", f"{total_infidelity(sources, mode) * 100:.6g}", mode]])
+                 ["total", f"{total_infidelity(sources) * 100:.6g}", "sum"]])
 
 
 def stage_table_csv(stages) -> str:

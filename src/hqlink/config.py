@@ -21,6 +21,7 @@ from .budget import EfficiencyStage, ErrorSource, RateChain
 from .ion import DECOHERENCE_EXPONENT, IonParams, decoherence_infidelity
 from .memory import INTERVAL, RESIDUAL_INFIDELITY, CombParams, SpectralModel
 from .photon import PBS_EXTINCTION, JitterParams, jitter_infidelity
+from .tomography import BOOTSTRAP_RESAMPLES
 
 SCENARIOS = ("ion_photon", "post_qfc", "ti_qm", "chsh", "budget", "afc_sweep",
              "bandwidth_sweep")
@@ -155,7 +156,7 @@ FIELD_RULES = {
     "pump.target": INTERVAL,
     "pump.broadening_mhz": rules.POSITIVE_FINITE,
     "pump.strengths.*": rules.FINITE_NONNEGATIVE,
-    "pump.native_d.*": rules.FINITE_NONNEGATIVE,
+    "pump.native_d.*": rules.FINITE_NONNEGATIVE,  # memory.effective_depth
     "pump.partial_weight": rules.PROBABILITY,
     "storage.eta_internal_h": rules.PROBABILITY,  # memory.storage_channel
     "storage.eta_internal_v": rules.PROBABILITY,
@@ -171,7 +172,7 @@ FIELD_RULES = {
     "pipeline.spam_error": rules.WHITE_NOISE_RATE,
     "pipeline.mw_rotation_error": rules.WHITE_NOISE_RATE,
     "pipeline.pi_collection_error": rules.WHITE_NOISE_RATE,
-    "pipeline.bootstrap_resamples": rules.integer_from(100),
+    "pipeline.bootstrap_resamples": BOOTSTRAP_RESAMPLES,  # tomography.bootstrap_uncertainty
     # shot budgets: at least one shot per measurement setting
     "scenarios.*.shots": rules.integer_from(9),
     "scenarios.ti_qm.heralds": rules.integer_from(9),

@@ -15,10 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import rules
-from .qstate import PureState, QuantumChannel, dephasing_channel
+from .qstate import PureState, QuantumChannel, bell_state, dephasing_channel
 
 ZEEMAN_OMEGA_DEFAULT = 2 * math.pi * 11.22e6  # rad/s
 # the exponent a of the coherence decay exp(-(t/tau)^a)
@@ -44,13 +42,8 @@ def emit_entangled_state(params: IonParams, t_elapsed_ns: float,
     phi = omega * t - phi_comp.  Exact phase compensation (phi_comp equal to
     the accumulated phase) restores the maximally entangled phi = 0 state.
     """
-    if t_elapsed_ns < 0:
-        raise ValueError("elapsed time must be nonnegative")
-    phi = params.zeeman_omega * t_elapsed_ns * 1e-9 - phi_comp
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = 1 / math.sqrt(2)
-    amps[3] = np.exp(1j * phi) / math.sqrt(2)
-    return PureState(amps)
+    rules.check("t_elapsed_ns", rules.FINITE_NONNEGATIVE, t_elapsed_ns)
+    return bell_state(params.zeeman_omega * t_elapsed_ns * 1e-9 - phi_comp)
 
 
 def decoherence_channel(params: IonParams, t_us: float, exponent_a: float = 2.0) -> QuantumChannel:

@@ -205,8 +205,7 @@ def effective_depth(plan: PumpPlan, native_d: float, strengths: dict,
     mixture.  p_g(f - T_k) only changes where f - T_k + T_t crosses a window or
     band edge, so each band average is an exact length-weighted midpoint sum.
     """
-    if native_d < 0:
-        raise ValueError("native depth must be nonnegative")
+    rules.check("native_d", rules.FINITE_NONNEGATIVE, native_d)
     windows = list(plan.pump_windows)
     if not windows:
         return native_d

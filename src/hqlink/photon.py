@@ -6,8 +6,6 @@ dephasing, polarizing-beam-splitter leakage and the dark-noise admixture.
 
 from __future__ import annotations
 
-import importlib.resources
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,7 +20,6 @@ from .qstate import (
     StateError,
     bitflip_channel,
     dephasing_channel,
-    matrix_from_json_dict,
 )
 
 CHI_TOL = 1e-9
@@ -79,12 +76,6 @@ class ProcessMatrix:
             raise StateError("chi does not induce a trace-preserving map")
         chi.flags.writeable = False
         object.__setattr__(self, "chi", chi)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ProcessMatrix":
-        if d.get("basis", "pauli-IXYZ") != "pauli-IXYZ":
-            raise StateError(f"unsupported chi basis {d.get('basis')!r}")
-        return cls(matrix_from_json_dict(d))
 
 
 def depolarizing_chi(process_fidelity: float) -> ProcessMatrix:
@@ -172,24 +163,3 @@ def process_matrix_channel(chi: ProcessMatrix) -> QuantumChannel:
     ops = np.einsum("mi,mab->iab", v[:, keep], PAULIS)
     return QuantumChannel(np.sqrt(w[keep])[:, None, None] * ops)
 
-
-def process_fidelity(chi: ProcessMatrix, chi_ideal: ProcessMatrix) -> float:
-    """Uhlmann fidelity between chi matrices treated as states.
-
-    For the rank-1 identity ideal this reduces to the chi_II element of the
-    measured matrix.
-    """
-    a, b = chi.chi, chi_ideal.chi
-    wa, va = np.linalg.eigh(a)
-    sqrt_a = va @ np.diag(np.sqrt(np.clip(wa, 0, None))) @ va.conj().T
-    m = sqrt_a @ b @ sqrt_a
-    wm = np.linalg.eigvalsh(m)
-    f = float(np.sqrt(np.clip(wm, 0, None)).sum() ** 2)
-    return min(max(f, 0.0), 1.0)
-
-
-def load_reference_chi(name: str = "qfc_chi_3min") -> ProcessMatrix:
-    """Load a stored chi matrix shipped with the package."""
-    path = importlib.resources.files("hqlink.data").joinpath(f"{name}.json")
-    with path.open("r") as fh:
-        return ProcessMatrix.from_json_dict(json.load(fh))

@@ -29,7 +29,8 @@ TRACE_TOL = 1e-10
 NORM_TOL = 1e-12
 EIG_FLOOR = -1e-9
 CPTP_TOL = 1e-9
-MAX_DIM = 4
+# the dimensions of a state, an observable and a channel: one qubit or two
+DIMS = (2, 4)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -67,8 +68,8 @@ def _as_complex_matrix(m) -> tuple[np.ndarray, list]:
     a = np.array(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise StateError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] > MAX_DIM:
-        raise StateError(f"dimension {a.shape[0]} exceeds the two-qubit limit")
+    if a.shape[0] not in DIMS:
+        raise StateError(f"dimension must be 2 or 4, got {a.shape[0]}")
     flat = a.ravel().tolist()
     # a sum of finite entries is finite unless it overflows; only then, or
     # for a NaN or an inf, are the entries tested one by one (before any
@@ -86,7 +87,7 @@ def _mirror_getters(n: int) -> tuple[itemgetter, itemgetter]:
     return itemgetter(*(k for k, _ in upper)), itemgetter(*(k for _, k in upper))
 
 
-_MIRRORS = {n: _mirror_getters(n) for n in range(2, MAX_DIM + 1)}
+_MIRRORS = {n: _mirror_getters(n) for n in DIMS}
 
 
 def _python_skew(flat: list, upper: itemgetter, lower: itemgetter) -> float:
@@ -105,9 +106,8 @@ def _checked_hermitian(matrix, what: str) -> np.ndarray:
     m, flat = _as_complex_matrix(matrix)
     # Python's complex abs may differ from numpy's in the last bit, so
     # numpy's value of max |m - m^dag| decides unless Python's lies below
-    # half the tolerance (numpy's alone for dimensions 0 and 1)
-    mirrors = _MIRRORS.get(m.shape[0])
-    if mirrors is None or not _python_skew(flat, *mirrors) <= HERMITIAN_TOL / 2:
+    # half the tolerance
+    if not _python_skew(flat, *_MIRRORS[m.shape[0]]) <= HERMITIAN_TOL / 2:
         with np.errstate(over="ignore"):  # a skew that overflows fails the check
             skew = np.abs(m - m.conj().T).max()
         if not skew <= HERMITIAN_TOL:
@@ -123,7 +123,7 @@ class PureState:
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size not in (2, 4):
+        if amps.size not in DIMS:
             raise StateError(f"pure state dimension must be 2 or 4, got {amps.size}")
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= NORM_TOL:  # also catches NaN
@@ -236,7 +236,7 @@ class Observable:
 
 
 # The identity of each dimension a channel may have.
-_EYES = tuple(_read_only(np.eye(d)) for d in range(MAX_DIM + 1))
+_EYES = {d: _read_only(np.eye(d)) for d in DIMS}
 
 
 @dataclass(frozen=True)
@@ -388,13 +388,13 @@ def depolarizing_channel(p: float, dim: int) -> QuantumChannel:
     return QuantumChannel(weights[:, None, None] * paulis)
 
 
-def white_noise_channel(bell_infidelity: float, dim: int = 4) -> QuantumChannel:
-    """Depolarizing channel whose infidelity on a pure target is the given value.
+def white_noise_channel(bell_infidelity: float) -> QuantumChannel:
+    """Two-qubit depolarizing channel whose infidelity on a Bell state is the
+    given value.
 
     Mixing weight q toward I/4 costs a Bell state q*(1 - 1/4), so q = eps/(3/4).
     """
-    q = bell_infidelity / 0.75 if dim == 4 else bell_infidelity / 0.5
-    return depolarizing_channel(q, dim)
+    return depolarizing_channel(bell_infidelity / 0.75, 4)
 
 
 def dephasing_channel(coherence: float, subsystem: int | None = None) -> QuantumChannel:
@@ -432,13 +432,6 @@ def matrix_to_json_dict(m: np.ndarray) -> dict:
     n = a.size
     rounded = round15_all(np.concatenate((a.real.reshape(-1), a.imag.reshape(-1))).tolist())
     return {"dim": a.shape[0], "re": rounded[:n], "im": rounded[n:]}
-
-
-def matrix_from_json_dict(d: dict) -> np.ndarray:
-    dim = int(d["dim"])
-    re = np.array(d["re"], dtype=float).reshape(dim, dim)
-    im = np.array(d["im"], dtype=float).reshape(dim, dim)
-    return re + 1j * im
 
 
 def round15(x: float) -> float:

@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from . import rules
 from .photon import dark_noise_admixture
 from .qstate import (
     PAULIS,
@@ -105,11 +106,6 @@ class CountRecord:
         if not abs(total - self.shots) <= 1e-6:
             raise ValueError(f"counts sum {total} != shots {self.shots}")
         object.__setattr__(self, "counts", counts)
-
-    def frequencies(self) -> np.ndarray:
-        if self.shots <= 0:
-            raise ValueError("record has zero shots")
-        return np.array(self.counts) / self.shots
 
 
 def _with_dark_noise(rho: DensityMatrix, snr: float | None) -> DensityMatrix:
@@ -478,33 +474,31 @@ def simulate_chsh(rho: DensityMatrix, s: ChshSettings, shots_total: int,
 # bootstrap
 
 
+# the least number of resamples a bootstrap takes
+BOOTSTRAP_RESAMPLES = rules.integer_from(100)
+
+
 def bootstrap_uncertainty(records: list[CountRecord], n_resamples: int,
-                          statistic: str, rng_seed,
-                          chsh_settings: ChshSettings | None = None) -> tuple[float, float]:
+                          statistic: str, rng_seed) -> tuple[float, float]:
     """Multinomial-resampling error bar for a tomography statistic.
 
-    ``statistic`` is "fidelity" (against the phase-zero target) or "chsh"
-    (at the given or optimal settings).  Returns (mean, sample stddev) over
-    the resampled estimates; deterministic per seed.
+    ``statistic`` is "fidelity", against the phase-zero target.  Returns
+    (mean, sample stddev) over the resampled estimates; deterministic per
+    seed.
     """
-    if n_resamples < 100:
-        raise ValueError("need at least 100 resamples")
-    if statistic not in ("fidelity", "chsh"):
+    rules.check("n_resamples", BOOTSTRAP_RESAMPLES, n_resamples)
+    if statistic != "fidelity":
         raise ValueError(f"unknown statistic {statistic!r}")
     if any(r.shots <= 0 for r in records):
         raise ValueError("degenerate record with zero shots")
-    settings = chsh_settings or ChshSettings.optimal()
     target = bell_state(0.0)
     rng = as_rng(rng_seed)
     shots = [int(round(r.shots)) for r in records]
-    freqs = np.array([r.frequencies() for r in records])
+    freqs = np.array([r.counts for r in records]) / np.array([r.shots for r in records])[:, None]
     estimates = np.empty(n_resamples)
     for i in range(n_resamples):
         draws = rng.multinomial(shots, freqs)  # row k as one call for record k draws it
         rho = mle_reconstruct([CountRecord(r.setting, tuple(row), n)
                                for r, row, n in zip(records, draws.tolist(), shots)])
-        if statistic == "fidelity":
-            estimates[i] = fidelity(rho, target)
-        else:
-            estimates[i] = chsh(rho, settings)
+        estimates[i] = fidelity(rho, target)
     return float(estimates.mean()), float(estimates.std(ddof=1))

@@ -30,16 +30,20 @@ from hqlink.config import (
     ExperimentConfig,
     _rule_pattern,
     default_config_dict,
+    pump_inputs,
 )
-from hqlink.ion import DECOHERENCE_EXPONENT, IonParams, decoherence_channel
+from hqlink.ion import DECOHERENCE_EXPONENT, IonParams, decoherence_channel, emit_entangled_state
 from hqlink.memory import (
     RESIDUAL_INFIDELITY,
     CombParams,
     SpectralModel,
+    effective_depth,
+    plan_pump_regions,
     storage_channel,
     storage_residual_channel,
 )
 from hqlink.photon import PBS_EXTINCTION, JitterParams, depolarizing_chi, pbs_bitflip_channel
+from hqlink.tomography import BOOTSTRAP_RESAMPLES, bootstrap_uncertainty
 
 unit = st.floats(0.0, 1.0)
 white_noise_rate = st.floats(0.0, 0.75)
@@ -227,8 +231,11 @@ SHARED_FIELDS = [
     (EfficiencyStage, "eta_v", "storage.eta_device_v"),
     *[(RateChain, "repetition_rate_hz", f"rates.r_exp{i}_hz") for i in (1, 2, 3)],
 ]
-# (builder of one argument, argument name, rule, config path) of each channel
-# builder that takes one config field as it is.
+OFFSETS, WINDOWS, TARGET, SPAN, STRENGTHS, _, _ = pump_inputs(ExperimentConfig.defaults())
+PLAN = plan_pump_regions(OFFSETS, WINDOWS, TARGET, SPAN)
+# (builder of one argument, argument name, rule, config path) of each
+# builder that takes one config field as it is, and of the emission, whose
+# elapsed time no config field holds (path None).
 BUILDER_RULES = [
     (lambda v: decoherence_channel(IonParams(), v), "t_us", rules.FINITE_NONNEGATIVE,
      "scenarios.ti_qm.decoherence_time_us"),
@@ -240,6 +247,12 @@ BUILDER_RULES = [
     (lambda v: storage_channel(0.5, v), "eta_v", rules.PROBABILITY, "storage.eta_internal_v"),
     (storage_residual_channel, "avg_infidelity", RESIDUAL_INFIDELITY,
      "storage.residual_infidelity"),
+    (lambda v: effective_depth(PLAN, v, STRENGTHS), "native_d", rules.FINITE_NONNEGATIVE,
+     "pump.native_d.H"),
+    (lambda v: bootstrap_uncertainty([], v, "fidelity", 0), "n_resamples", BOOTSTRAP_RESAMPLES,
+     "pipeline.bootstrap_resamples"),
+    (lambda v: emit_entangled_state(IonParams(), v), "t_elapsed_ns", rules.FINITE_NONNEGATIVE,
+     None),
 ]
 
 
@@ -309,7 +322,8 @@ class TestOneRulePerBound:
     def test_dataclass_and_config_share_the_rule_object(self, cls, name, path):
         assert cls.RULES[name] is FIELD_RULES[_rule_pattern(path)]
 
-    @pytest.mark.parametrize("builder, arg, rule, path", BUILDER_RULES)
+    @pytest.mark.parametrize("builder, arg, rule, path",
+                             [row for row in BUILDER_RULES if row[3] is not None])
     def test_builder_and_config_share_the_rule_object(self, builder, arg, rule, path):
         assert rule is FIELD_RULES[_rule_pattern(path)]
 

@@ -19,9 +19,7 @@ from hqlink.photon import (
     jitter_infidelity,
     jitter_phase_uncertainty,
     jitter_total_rms,
-    load_reference_chi,
     pbs_bitflip_channel,
-    process_fidelity,
     process_matrix_channel,
 )
 from hqlink.qstate import (
@@ -259,21 +257,6 @@ class TestProcessMatrix:
             from hqlink.qstate import QuantumChannel
             rho = apply_channel(bell_state(0.0).density(), QuantumChannel(kraus4))
             assert 1 - fidelity(rho, bell_state(0.0)) == pytest.approx(1 - fp, rel=1e-9)
-
-
-class TestProcessFidelity:
-    def test_identical(self):
-        chi = depolarizing_chi(0.9)
-        assert process_fidelity(chi, chi) == pytest.approx(1.0, abs=1e-9)
-
-    def test_fully_depolarizing_vs_identity(self):
-        chi = ProcessMatrix(np.eye(4, dtype=complex) / 4)
-        assert process_fidelity(chi, depolarizing_chi(1.0)) == pytest.approx(0.25, abs=1e-12)
-
-    def test_reference_chi_file(self):
-        chi = load_reference_chi()
-        f = process_fidelity(chi, depolarizing_chi(1.0))
-        assert f == pytest.approx(0.9732, abs=0.0014)
 
 
 def _random_chi(rng) -> ProcessMatrix:

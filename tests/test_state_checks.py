@@ -1,7 +1,8 @@
 """The one-pass state and channel checks against the checks they replaced.
 
 ``oracle_density_matrix`` and ``oracle_channel`` are the earlier
-constructors' check code, kept verbatim as the reference: the new
+constructors' check code, kept as the reference with one change, the
+dimension rule (2 or 4, where the earlier code took 0 to 4): the new
 ``DensityMatrix`` and ``QuantumChannel`` must accept and reject the same
 inputs, with the same exception type and message, and return the same
 matrix bits.
@@ -20,7 +21,6 @@ from hqlink.qstate import (
     CPTP_TOL,
     EIG_FLOOR,
     HERMITIAN_TOL,
-    MAX_DIM,
     TRACE_TOL,
     DensityMatrix,
     Observable,
@@ -39,8 +39,8 @@ def _oracle_as_complex_matrix(m) -> np.ndarray:
     a = np.array(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise StateError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] > MAX_DIM:
-        raise StateError(f"dimension {a.shape[0]} exceeds the two-qubit limit")
+    if a.shape[0] not in (2, 4):
+        raise StateError(f"dimension must be 2 or 4, got {a.shape[0]}")
     if not np.isfinite(a).all():  # before arithmetic on a NaN or inf warns
         raise StateError("matrix has a non-finite entry")
     return a

@@ -568,12 +568,6 @@ class TestBootstrap:
         m2, s2 = bootstrap_uncertainty(recs, 300, "fidelity", child_rng(5, "b"))
         assert abs(m1 - m2) <= max(s1, s2)
 
-    def test_chsh_statistic(self):
-        recs = simulate_tomography(werner(0.9), 20000, None, child_rng(6, "c"))
-        mean, std = bootstrap_uncertainty(recs, 100, "chsh", child_rng(7, "d"))
-        assert mean == pytest.approx(2 * math.sqrt(2) * 0.9, abs=0.05)
-        assert std < 0.05
-
     def test_zero_shot_record_rejected(self):
         recs = records_from_probabilities(werner(0.5))
         broken = recs[:-1] + [CountRecord(recs[-1].setting, (0, 0, 0, 0), 0)]
