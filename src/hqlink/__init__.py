@@ -16,7 +16,7 @@ from .budget import (
     total_infidelity,
 )
 from .config import ConfigError, ExperimentConfig
-from .ion import IonParams, decoherence_channel, emit_entangled_state
+from .ion import IonParams, emit_entangled_state
 from .memory import (
     CombParams,
     PumpPlan,
@@ -25,16 +25,8 @@ from .memory import (
     bandwidth_match,
     effective_depth,
     plan_pump_regions,
-    storage_channel,
 )
-from .photon import (
-    JitterParams,
-    ProcessMatrix,
-    dark_noise_admixture,
-    jitter_dephasing_channel,
-    pbs_bitflip_channel,
-    process_matrix_channel,
-)
+from .photon import JitterParams, dark_noise_admixture
 from .qstate import (
     DensityMatrix,
     Observable,

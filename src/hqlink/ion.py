@@ -46,20 +46,19 @@ def emit_entangled_state(params: IonParams, t_elapsed_ns: float,
     return bell_state(params.zeeman_omega * t_elapsed_ns * 1e-9 - phi_comp)
 
 
-def decoherence_channel(params: IonParams, t_us: float, exponent_a: float = 2.0) -> QuantumChannel:
-    """Ion-qubit dephasing after t microseconds of free evolution.
-
-    Coherence decays as exp(-(t/tau)^a); the two-qubit fidelity against the
-    phi = 0 target is (1 + coherence)/2.
-    """
+def decoherence_coherence(params: IonParams, t_us: float, exponent_a: float = 2.0) -> float:
+    """exp(-(t/tau)^a), the ion qubit's coherence after t microseconds of free
+    evolution; the Bell-state fidelity of its dephasing is (1 + coherence)/2."""
     rules.check("t_us", rules.FINITE_NONNEGATIVE, t_us)
     rules.check("exponent_a", DECOHERENCE_EXPONENT, exponent_a)
-    tau_us = params.coherence_time_tau_ms * 1e3
-    coherence = math.exp(-((t_us / tau_us) ** exponent_a))
-    return dephasing_channel(coherence, subsystem=0)
+    return math.exp(-((t_us / (params.coherence_time_tau_ms * 1e3)) ** exponent_a))
+
+
+def decoherence_channel(params: IonParams, t_us: float, exponent_a: float = 2.0) -> QuantumChannel:
+    """Ion-qubit dephasing after t microseconds of free evolution."""
+    return dephasing_channel(decoherence_coherence(params, t_us, exponent_a), subsystem=0)
 
 
 def decoherence_infidelity(params: IonParams, t_us: float, exponent_a: float = 2.0) -> float:
     """(1 - exp(-(t/tau)^a)) / 2, the Bell-state infidelity of the channel."""
-    tau_us = params.coherence_time_tau_ms * 1e3
-    return (1 - math.exp(-((t_us / tau_us) ** exponent_a))) / 2
+    return (1 - decoherence_coherence(params, t_us, exponent_a)) / 2

@@ -99,20 +99,20 @@ def jitter_phase_uncertainty(p: JitterParams) -> float:
     return jitter_total_rms(p) * 1e-9 * p.zeeman_omega
 
 
-def jitter_dephasing_channel(p: JitterParams) -> QuantumChannel:
-    """Ion-qubit dephasing from Gaussian quasi-static arrival-time jitter.
+def jitter_coherence(p: JitterParams) -> float:
+    """exp(-DeltaPhi^2 / 2), the ion qubit's coherence under Gaussian quasi-static
+    arrival-time jitter: a Bell-state infidelity of DeltaPhi^2 / 4 to leading order."""
+    return math.exp(-jitter_phase_uncertainty(p) ** 2 / 2)
 
-    The coherence factor is exp(-DeltaPhi^2 / 2); the induced Bell-state
-    infidelity is DeltaPhi^2 / 4 to leading order.
-    """
-    dphi = jitter_phase_uncertainty(p)
-    return dephasing_channel(math.exp(-dphi ** 2 / 2), subsystem=0)
+
+def jitter_dephasing_channel(p: JitterParams) -> QuantumChannel:
+    """Ion-qubit dephasing from arrival-time jitter."""
+    return dephasing_channel(jitter_coherence(p), subsystem=0)
 
 
 def jitter_infidelity(p: JitterParams) -> float:
     """(1 - exp(-DeltaPhi^2/2)) / 2, the exact Bell infidelity of the channel."""
-    dphi = jitter_phase_uncertainty(p)
-    return (1 - math.exp(-dphi ** 2 / 2)) / 2
+    return (1 - jitter_coherence(p)) / 2
 
 
 def pbs_bitflip_channel(extinction: float) -> QuantumChannel:

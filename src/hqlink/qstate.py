@@ -211,13 +211,6 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
-    def renormalized(self) -> "DensityMatrix":
-        """Post-select a heralded state: rescale to unit trace."""
-        tr = self.trace
-        if tr <= 0.0:
-            raise StateError("cannot renormalize a zero-trace state")
-        return DensityMatrix(self.matrix / tr)
-
 
 @dataclass(frozen=True)
 class Observable:
@@ -325,6 +318,13 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     return float(0.5 * np.abs(evals).sum())
 
 
+def unit_interval(what: str, value: float) -> float:
+    """``value`` if it lies in [0, 1]; a StateError naming ``what`` if not (or NaN)."""
+    if not 0.0 <= value <= 1.0:
+        raise StateError(f"{what} {value} outside [0, 1]")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # constructors for common states and channels
 
@@ -357,8 +357,7 @@ def maximally_mixed(dim: int) -> DensityMatrix:
 
 def werner(p: float) -> DensityMatrix:
     """p |Psi_0><Psi_0| + (1-p) I/4."""
-    if not 0.0 <= p <= 1.0:
-        raise StateError(f"werner visibility {p} outside [0, 1]")
+    unit_interval("werner visibility", p)
     return DensityMatrix(p * bell_state(0.0).density().matrix + (1 - p) * np.eye(4) / 4)
 
 
@@ -377,8 +376,7 @@ def identity_channel(dim: int) -> QuantumChannel:
 
 def depolarizing_channel(p: float, dim: int) -> QuantumChannel:
     """Mix toward I/dim with probability p: rho -> (1-p) rho + p I/dim."""
-    if not 0.0 <= p <= 1.0:
-        raise StateError(f"depolarizing probability {p} outside [0, 1]")
+    unit_interval("depolarizing probability", p)
     paulis = {2: PAULIS, 4: PAULIS_2Q}.get(dim)
     if paulis is None:
         raise StateError("depolarizing channel supports dim 2 or 4 only")
@@ -403,8 +401,7 @@ def dephasing_channel(coherence: float, subsystem: int | None = None) -> Quantum
     With ``subsystem`` set, acts on one qubit of the two-qubit space; otherwise
     a bare single-qubit channel is returned.
     """
-    if not 0.0 <= coherence <= 1.0:
-        raise StateError(f"coherence factor {coherence} outside [0, 1]")
+    unit_interval("coherence factor", coherence)
     z = Z if subsystem is None else embed_single_qubit(Z, subsystem)
     eye = np.eye(z.shape[0], dtype=complex)
     return QuantumChannel((np.sqrt((1 + coherence) / 2) * eye,
@@ -413,8 +410,7 @@ def dephasing_channel(coherence: float, subsystem: int | None = None) -> Quantum
 
 def bitflip_channel(prob: float, subsystem: int | None = None) -> QuantumChannel:
     """X is applied with the given probability (optionally on one subsystem)."""
-    if not 0.0 <= prob <= 1.0:
-        raise StateError(f"flip probability {prob} outside [0, 1]")
+    unit_interval("flip probability", prob)
     x = X if subsystem is None else embed_single_qubit(X, subsystem)
     eye = np.eye(x.shape[0], dtype=complex)
     return QuantumChannel((np.sqrt(1 - prob) * eye, np.sqrt(prob) * x))

@@ -5,12 +5,15 @@ arrival-time-jitter dephasing, frequency-conversion process matrix, heralded
 storage, detection-side bit flip, then tomography with the dark-noise
 admixture.  Scalar error rates without microscopic models (pulse excitation,
 photon collection, SPAM, microwave rotation) enter as white-noise admixtures
-of matched infidelity.
+of matched infidelity.  Each stage is the closed-form Pauli transfer map of
+its channel, applied to the state's 16 Pauli expectations (Greenbaum,
+arXiv:1509.02921, sec. 2); one checked density matrix is built at the end.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -19,28 +22,17 @@ from pathlib import Path
 import numpy as np
 
 from . import budget as bd
-from . import memory, tomography
+from . import memory, qstate, rules, tomography
 from .config import BUDGET_KEYS, ExperimentConfig, error_budget_rows, rate_chains
-from .ion import decoherence_channel, emit_entangled_state
-from .photon import (
-    dark_noise_admixture,
-    depolarizing_chi,
-    jitter_dephasing_channel,
-    pbs_bitflip_channel,
-    process_matrix_channel,
-)
+from .ion import decoherence_coherence, emit_entangled_state
+from .photon import PBS_EXTINCTION, dark_noise_admixture, jitter_coherence
 from .qstate import (
-    I2,
-    QuantumChannel,
-    apply_channel,
     bell_state,
     fidelity,
-    kron,
     matrix_to_json_dict,
-    werner,
-    white_noise_channel,
     round15,
     round15_all,
+    werner,
 )
 from .rng import child_rng
 from .tomography import ChshSettings, bootstrap_uncertainty, mle_reconstruct
@@ -85,55 +77,74 @@ class RunReport:
         }
 
 
-def pipeline_channels(cfg: ExperimentConfig, scenario: str) -> list[tuple[str, QuantumChannel]]:
-    """Ordered named channels for a tomography scenario (dark noise excluded:
-    it is applied at the measurement layer)."""
-    pl = cfg.section("pipeline")
-    scen = cfg.scenario_section(scenario)
-    storage = cfg.section("storage")
-    chain: list[tuple[str, QuantumChannel]] = [
-        ("pulse_excitation", white_noise_channel(pl["excitation_error"])),
-        ("pi_collection", white_noise_channel(pl["pi_collection_error"])),
-        ("ion_decoherence", decoherence_channel(cfg.ion, scen["decoherence_time_us"],
-                                                pl["decoherence_exponent_a"])),
-        ("jitter_dephasing", jitter_dephasing_channel(cfg.jitter)),
-    ]
+def _white_noise(bell_infidelity: float) -> np.ndarray:
+    """(1 - q) rho + q I/4, q = eps/(3/4): a factor 1 - q on every Pauli but II."""
+    q = qstate.unit_interval("depolarizing probability", bell_infidelity / 0.75)
+    return np.array([1.0] + [1 - q] * 15)
+
+
+def pipeline_stages(cfg: ExperimentConfig, scenario: str) -> list[tuple[str, np.ndarray]]:
+    """Ordered named stages of a tomography scenario (dark noise is applied at the
+    measurement layer) as maps of the Pauli vector r_k = tr(P_k rho), P_k = PAULIS_2Q[k]
+    = P_a (x) P_b at k = 4 a + b: a Pauli-diagonal stage as its 16 factors (np.repeat of
+    one-qubit factors on the ion a, np.tile on the photon b), the heralded storage
+    diag(sqrt eta_H, sqrt eta_V) as a (4, 4) map of b.  Each checks its inputs as its
+    Kraus builder does."""
+    pl, storage = cfg.section("pipeline"), cfg.section("storage")
+    c_ion = qstate.unit_interval("coherence factor", decoherence_coherence(
+        cfg.ion, cfg.scenario_section(scenario)["decoherence_time_us"],
+        pl["decoherence_exponent_a"]))
+    c_jitter = qstate.unit_interval("coherence factor", jitter_coherence(cfg.jitter))
+    chain = [("pulse_excitation", _white_noise(pl["excitation_error"])),
+             ("pi_collection", _white_noise(pl["pi_collection_error"])),
+             ("ion_decoherence", np.repeat((1.0, c_ion, c_ion, 1.0), 4)),
+             ("jitter_dephasing", np.repeat((1.0, c_jitter, c_jitter, 1.0), 4))]
     if scenario in ("post_qfc", "ti_qm", "chsh"):
-        chi = depolarizing_chi(pl["qfc_process_fidelity"])
-        qfc2 = process_matrix_channel(chi)  # on the photon: I (x) K for each K
-        chain.append(("qfc_process", QuantumChannel(kron(I2, qfc2.kraus_ops))))
+        f = pl["qfc_process_fidelity"]
+        rules.check("process_fidelity", rules.PROBABILITY, f)
+        chain.append(("qfc_process", np.tile((1.0, *[f - (1 - f) / 3] * 3), 4)))
     if scenario in ("ti_qm", "chsh"):
-        chain.append(("qm_storage", memory.storage_channel(storage["eta_internal_h"],
-                                                           storage["eta_internal_v"])))
-        chain.append(("qm_storage_residual",
-                      memory.storage_residual_channel(storage["residual_infidelity"])))
+        eta_h, eta_v, eps = (storage[k] for k in ("eta_internal_h", "eta_internal_v",
+                                                  "residual_infidelity"))
+        rules.check("eta_h", rules.PROBABILITY, eta_h)
+        rules.check("eta_v", rules.PROBABILITY, eta_v)
+        s, d = (eta_h + eta_v) / 2, (eta_h - eta_v) / 2
+        c = math.sqrt(eta_h) * math.sqrt(eta_v)  # sqrt(eta_h * eta_v) can underflow
+        chain.append(("qm_storage", np.array([[s, 0, 0, d], [0, c, 0, 0], [0, 0, c, 0],
+                                              [d, 0, 0, s]])))
+        rules.check("avg_infidelity", memory.RESIDUAL_INFIDELITY, eps)
+        chain.append(("qm_storage_residual", np.tile((1.0, 1 - 2 * eps, 1 - 2 * eps, 1.0), 4)))
     if scenario in ("post_qfc", "ti_qm", "chsh"):
-        chain.append(("pbs_leakage",
-                      pbs_bitflip_channel(cfg.section("noise")["pbs_extinction"])))
-    chain += [
-        ("spam", white_noise_channel(pl["spam_error"])),
-        ("mw_rotation", white_noise_channel(pl["mw_rotation_error"])),
-    ]
-    return chain
+        extinction = cfg.section("noise")["pbs_extinction"]
+        rules.check("extinction", PBS_EXTINCTION, extinction)
+        flip = 1 - 2 * qstate.unit_interval("flip probability", 1.0 / extinction)
+        chain.append(("pbs_leakage", np.tile((1.0, 1.0, flip, flip), 4)))
+    return chain + [("spam", _white_noise(pl["spam_error"])),
+                    ("mw_rotation", _white_noise(pl["mw_rotation_error"]))]
 
 
 def analytic_pipeline_state(cfg: ExperimentConfig, scenario: str):
     """(post-selected state before dark noise, herald probability, breakdown).
 
-    The breakdown lists the fidelity against the phase-zero target after each
-    stage, post-selected where the chain is heralded.
+    The chain acts on the Pauli vector r; the state is built and checked once, at
+    the end.  The breakdown lists the fidelity against the phase-zero target after
+    each stage, post-selected where heralded: (r_II + r_ZZ)/4 + (r_XX - r_YY)/4.
     """
-    target = bell_state(0.0)
-    state = emit_entangled_state(cfg.ion, t_elapsed_ns=0.0).density()
-    herald_prob = 1.0
-    breakdown = [("emission", fidelity(state, target))]
-    for name, ch in pipeline_channels(cfg, scenario):
-        state = apply_channel(state, ch)
-        if not ch.trace_preserving:
-            herald_prob *= state.trace
-            state = state.renormalized()
-        breakdown.append((name, fidelity(state, target)))
-    return state, herald_prob, breakdown
+    rho = emit_entangled_state(cfg.ion, t_elapsed_ns=0.0).density()
+    r = np.einsum("kab,ba->k", qstate.PAULIS_2Q, rho.matrix).real
+    herald_prob, breakdown = 1.0, []
+    for name, m in [("emission", np.ones(16))] + pipeline_stages(cfg, scenario):
+        if m.ndim == 1:
+            r = r * m
+        else:  # heralded: post-select
+            r = (r.reshape(4, 4) @ m.T).reshape(16)
+            if r[0] <= 0.0:
+                raise qstate.StateError("cannot renormalize a zero-trace state")
+            herald_prob *= float(r[0])
+            r = r / r[0]
+        breakdown.append((name, min(max(float(r[0] + r[15] + r[5] - r[10]) / 4, 0.0), 1.0)))
+    rho = qstate.DensityMatrix(np.einsum("k,kab->ab", r, qstate.PAULIS_2Q) / 4)
+    return rho, herald_prob, breakdown
 
 
 def analytic_fidelity(cfg: ExperimentConfig, scenario: str) -> float:
@@ -163,8 +174,7 @@ def run(cfg: ExperimentConfig) -> RunReport:
 def _run_tomography(cfg: ExperimentConfig) -> RunReport:
     scen = cfg.scenario_section()
     report = RunReport(scenario=cfg.scenario, seed=cfg.master_seed)
-    state, herald_prob, breakdown = analytic_pipeline_state(cfg, cfg.scenario)
-    report.breakdown = breakdown
+    state, herald_prob, report.breakdown = analytic_pipeline_state(cfg, cfg.scenario)
     snr = scen["snr"]
     target = bell_state(0.0)
     report.add("analytic_fidelity", fidelity(dark_noise_admixture(state, snr), target))

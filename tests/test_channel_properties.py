@@ -1,7 +1,10 @@
 """Channel invariants of the analytic pipeline: each builder's Kraus stack
-and the stacked Kraus product against the per-operator formulas, and CPTP /
-PSD properties over the pipeline rates that load-time validation accepts."""
+and the stacked Kraus product against the per-operator formulas, CPTP / PSD
+properties over the pipeline rates that load-time validation accepts, and the
+Pauli-vector chain against the same chain of Kraus channels."""
 
+import copy
+import dataclasses
 import math
 import sys
 
@@ -10,24 +13,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hqlink.scenarios as scenarios
 from hqlink.config import ConfigError, ExperimentConfig
-from hqlink.ion import emit_entangled_state
+from hqlink.ion import decoherence_channel, emit_entangled_state
 from hqlink.memory import storage_channel, storage_residual_channel
-from hqlink.photon import KRAUS_FLOOR, ProcessMatrix, depolarizing_chi, process_matrix_channel
+from hqlink.photon import (
+    KRAUS_FLOOR,
+    ProcessMatrix,
+    depolarizing_chi,
+    jitter_dephasing_channel,
+    pbs_bitflip_channel,
+    process_matrix_channel,
+)
 from hqlink.qstate import (
     CPTP_TOL,
     PAULIS,
     DensityMatrix,
     QuantumChannel,
+    StateError,
     apply_channel,
+    bell_state,
     bitflip_channel,
     dephasing_channel,
     depolarizing_channel,
+    fidelity,
     identity_channel,
     kron,
     white_noise_channel,
 )
-from hqlink.scenarios import analytic_pipeline_state, pipeline_channels
+from hqlink.scenarios import analytic_pipeline_state, pipeline_stages
 
 TOMOGRAPHY_SCENARIOS = ("ion_photon", "post_qfc", "ti_qm", "chsh")
 WHITE_NOISE_RATES = ("excitation_error", "pi_collection_error", "spam_error",
@@ -94,6 +108,49 @@ def assert_stack_equals(ch, ops):
     assert k.tobytes() == np.array(ops).tobytes()  # signed zeros included
 
 
+def kraus_chain(cfg: ExperimentConfig, scenario: str) -> list[tuple[str, QuantumChannel]]:
+    """The pipeline's stages as Kraus channels from the builders, with the
+    names, order and inputs of pipeline_stages: the chain the Pauli-vector
+    pipeline replaced, kept as its reference."""
+    pl, storage = cfg.section("pipeline"), cfg.section("storage")
+    scen = cfg.scenario_section(scenario)
+    chain = [
+        ("pulse_excitation", white_noise_channel(pl["excitation_error"])),
+        ("pi_collection", white_noise_channel(pl["pi_collection_error"])),
+        ("ion_decoherence", decoherence_channel(cfg.ion, scen["decoherence_time_us"],
+                                                pl["decoherence_exponent_a"])),
+        ("jitter_dephasing", jitter_dephasing_channel(cfg.jitter)),
+    ]
+    if scenario in ("post_qfc", "ti_qm", "chsh"):
+        qfc = process_matrix_channel(depolarizing_chi(pl["qfc_process_fidelity"]))
+        chain.append(("qfc_process", QuantumChannel(kron(I2, qfc.kraus_ops))))
+    if scenario in ("ti_qm", "chsh"):
+        chain.append(("qm_storage", storage_channel(storage["eta_internal_h"],
+                                                    storage["eta_internal_v"])))
+        chain.append(("qm_storage_residual",
+                      storage_residual_channel(storage["residual_infidelity"])))
+    if scenario in ("post_qfc", "ti_qm", "chsh"):
+        chain.append(("pbs_leakage", pbs_bitflip_channel(cfg.section("noise")["pbs_extinction"])))
+    return chain + [("spam", white_noise_channel(pl["spam_error"])),
+                    ("mw_rotation", white_noise_channel(pl["mw_rotation_error"]))]
+
+
+def kraus_pipeline_state(cfg: ExperimentConfig, scenario: str):
+    """analytic_pipeline_state by the Kraus chain: each channel applied to a
+    checked state, the heralded one post-selected to unit trace."""
+    target = bell_state(0.0)
+    state = emit_entangled_state(cfg.ion, t_elapsed_ns=0.0).density()
+    herald_prob = 1.0
+    breakdown = [("emission", fidelity(state, target))]
+    for name, ch in kraus_chain(cfg, scenario):
+        state = apply_channel(state, ch)
+        if not ch.trace_preserving:
+            herald_prob *= state.trace
+            state = DensityMatrix(state.matrix / state.trace)
+        breakdown.append((name, fidelity(state, target)))
+    return state, herald_prob, breakdown
+
+
 def rank_one_chi(rng) -> ProcessMatrix:
     """The chi of a random unitary, sum_m c_m P_m with c_m = tr(P_m U) / 2."""
     q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
@@ -148,7 +205,7 @@ class TestKrausStackBuilders:
 
     @pytest.mark.parametrize("scenario", TOMOGRAPHY_SCENARIOS)
     def test_pipeline_channels_are_read_only_stacks(self, scenario):
-        for name, ch in pipeline_channels(ExperimentConfig.defaults(scenario), scenario):
+        for name, ch in kraus_chain(ExperimentConfig.defaults(scenario), scenario):
             assert ch.kraus_ops.ndim == 3 and ch.kraus_ops.shape[1:] == (4, 4), name
             assert not ch.kraus_ops.flags.writeable, name
 
@@ -169,14 +226,14 @@ class TestStackedKrausProduct:
         cfg = ExperimentConfig.defaults(scenario)
         rng = np.random.default_rng(37)
         state = emit_entangled_state(cfg.ion, t_elapsed_ns=0.0).density()
-        for _, ch in pipeline_channels(cfg, scenario):
+        for _, ch in kraus_chain(cfg, scenario):
             assert_bitwise_equal(state, ch)
             for _ in range(10):
                 assert_bitwise_equal(random_state(rng, 4), ch)
                 assert_bitwise_equal(random_state(rng, 4, trace=rng.uniform()), ch)
             state = apply_channel(state, ch)
             if not ch.trace_preserving:
-                state = state.renormalized()
+                state = DensityMatrix(state.matrix / state.trace)
 
 
 # Each white-noise rate costs a Bell state its own value of fidelity, which a
@@ -214,7 +271,7 @@ class TestPipelineChannelProperties:
     @given(pipeline_configs())
     def test_kraus_completeness(self, drawn):
         cfg, scenario = drawn
-        for name, ch in pipeline_channels(cfg, scenario):
+        for name, ch in kraus_chain(cfg, scenario):
             total = sum(k.conj().T @ k for k in ch.kraus_ops)
             if ch.trace_preserving:
                 assert np.max(np.abs(total - np.eye(ch.dim))) <= CPTP_TOL, name
@@ -230,25 +287,24 @@ class TestPipelineChannelProperties:
         assert abs(state.trace - 1.0) <= 1e-10
         assert state.eigenvalues().min() >= -1e-12  # PSD up to eigensolver rounding
         assert 0.0 < herald_prob <= 1.0
-        assert [name for name, _ in breakdown[1:]] == [
-            name for name, _ in pipeline_channels(cfg, scenario)]
+        stages = pipeline_stages(cfg, scenario)
+        assert [name for name, _ in breakdown[1:]] == [name for name, _ in stages]
+        for name, m in stages:
+            assert m.dtype == float and m.shape == ((4, 4) if name == "qm_storage" else (16,))
         for name, f in breakdown:
             assert 0.0 <= f <= 1.0, name
 
     @pytest.mark.parametrize("scenario", ["ti_qm", "chsh"])
-    def test_zero_storage_residual_is_the_chain_without_it(self, scenario):
-        # residual_infidelity 0 switches the residual off: its channel
-        # (I, 0 Z) leaves the state bitwise unchanged
+    def test_zero_storage_residual_is_the_chain_without_it(self, scenario, monkeypatch):
+        # residual_infidelity 0 switches the residual off: its factors
+        # (1, 1, 1, 1) on the photon leave the Pauli vector bitwise unchanged
         cfg = ExperimentConfig.defaults(scenario, storage={"residual_infidelity": 0.0})
         state, herald_prob, breakdown = analytic_pipeline_state(cfg, scenario)
-        skipped = emit_entangled_state(cfg.ion, t_elapsed_ns=0.0).density()
-        skipped_prob = 1.0
-        for name, ch in pipeline_channels(cfg, scenario):
-            if name != "qm_storage_residual":
-                skipped = apply_channel(skipped, ch)
-                if not ch.trace_preserving:
-                    skipped_prob *= skipped.trace
-                    skipped = skipped.renormalized()
+        all_stages = scenarios.pipeline_stages
+        monkeypatch.setattr(scenarios, "pipeline_stages", lambda *args: [
+            stage for stage in all_stages(*args) if stage[0] != "qm_storage_residual"])
+        skipped, skipped_prob, skipped_breakdown = analytic_pipeline_state(cfg, scenario)
+        assert "qm_storage_residual" not in dict(skipped_breakdown)
         assert state.matrix.tobytes() == skipped.matrix.tobytes()
         assert herald_prob == skipped_prob
         fidelities = dict(breakdown)
@@ -261,6 +317,27 @@ class TestPipelineChannelProperties:
         with pytest.raises(ConfigError, match=f"pipeline.{rate}: expected a number in "
                                               r"\[0, 0.75\], got 0.9"):
             ExperimentConfig.defaults("ti_qm", pipeline={rate: 0.9})
+
+    def test_stages_fail_where_the_kraus_builders_fail(self):
+        # a jitter whose rms sum overflows at zero Zeeman frequency loads but
+        # has a NaN coherence; a white-noise rate above 3/4 and two dead
+        # storage efficiencies can only come past the load-time check
+        jitter = ExperimentConfig.defaults("ti_qm", ion={"zeeman_frequency_mhz": 0.0}, jitter={
+            "awg_rms_ns": 1.7e308, "transceiver_rms_ns": 1.7e308})
+        base = ExperimentConfig.defaults("ti_qm")
+        raw = copy.deepcopy(base.raw)
+        raw["pipeline"]["spam_error"] = 0.9
+        for cfg in (jitter, dataclasses.replace(base, raw=raw)):
+            with pytest.raises(StateError) as kraus_error:
+                kraus_pipeline_state(cfg, "ti_qm")
+            with pytest.raises(StateError, match=r"(coherence factor|depolarizing probability) "
+                                                 r"\S+ outside \[0, 1\]") as error:
+                analytic_pipeline_state(cfg, "ti_qm")
+            assert str(error.value) == str(kraus_error.value)
+        raw["pipeline"]["spam_error"] = 0.01
+        raw["storage"].update(eta_internal_h=0.0, eta_internal_v=0.0)
+        with pytest.raises(StateError, match="^cannot renormalize a zero-trace state$"):
+            analytic_pipeline_state(dataclasses.replace(base, raw=raw), "ti_qm")
 
     @pytest.mark.parametrize("process_fidelity", [2.1e-10, 5e-10])
     def test_tiny_qfc_process_fidelity_keeps_unit_trace(self, process_fidelity):
@@ -288,3 +365,37 @@ class TestPipelineChannelProperties:
             state, herald_prob, _ = analytic_pipeline_state(cfg, scenario)
             assert abs(state.trace - 1.0) <= 1e-10
             assert 0.0 < herald_prob <= sys.float_info.min
+
+
+def assert_chains_agree(cfg: ExperimentConfig, scenario: str):
+    """The Pauli-vector chain against the Kraus chain: the same stages, and
+    the state, the herald probability and the breakdown to 1e-14."""
+    state, herald_prob, breakdown = analytic_pipeline_state(cfg, scenario)
+    ref_state, ref_prob, ref_breakdown = kraus_pipeline_state(cfg, scenario)
+    assert ([name for name, _ in pipeline_stages(cfg, scenario)]
+            == [name for name, _ in kraus_chain(cfg, scenario)])
+    assert [name for name, _ in breakdown] == [name for name, _ in ref_breakdown]
+    assert np.abs(state.matrix - ref_state.matrix).max() <= 1e-14
+    assert abs(herald_prob - ref_prob) <= 1e-14 * ref_prob
+    for (name, f), (_, ref) in zip(breakdown, ref_breakdown):
+        assert abs(f - ref) <= 1e-14, name
+
+
+class TestPauliChainAgainstKrausChain:
+    @settings(max_examples=100, deadline=None)
+    @given(pipeline_configs())
+    def test_drawn_configs(self, drawn):
+        assert_chains_agree(*drawn)
+
+    @pytest.mark.parametrize("scenario, overrides", [
+        ("post_qfc", {"pipeline": {"qfc_process_fidelity": 2.1e-10}}),
+        ("post_qfc", {"pipeline": {"qfc_process_fidelity": 5e-10}}),
+        ("ti_qm", {"pipeline": {"qfc_process_fidelity": 2.1e-10}}),
+        ("ti_qm", {"storage": {"eta_internal_h": 0.0, "eta_internal_v": sys.float_info.min}}),
+        ("chsh", {"storage": {"eta_internal_h": sys.float_info.min,
+                              "eta_internal_v": sys.float_info.min}}),
+        ("ti_qm", {"storage": {"residual_infidelity": 0.0}}),
+        *[(scenario, {}) for scenario in TOMOGRAPHY_SCENARIOS],
+    ])
+    def test_edge_and_default_configs(self, scenario, overrides):
+        assert_chains_agree(ExperimentConfig.defaults(scenario, **overrides), scenario)

@@ -8,6 +8,9 @@ reject the same non-numbers by field name."""
 
 import ast
 import contextlib
+import copy
+import dataclasses
+import functools
 import io
 import json
 import math
@@ -32,7 +35,14 @@ from hqlink.config import (
     default_config_dict,
     pump_inputs,
 )
-from hqlink.ion import DECOHERENCE_EXPONENT, IonParams, decoherence_channel, emit_entangled_state
+from hqlink.ion import (
+    DECOHERENCE_EXPONENT,
+    IonParams,
+    decoherence_channel,
+    decoherence_coherence,
+    decoherence_infidelity,
+    emit_entangled_state,
+)
 from hqlink.memory import (
     RESIDUAL_INFIDELITY,
     CombParams,
@@ -43,6 +53,7 @@ from hqlink.memory import (
     storage_residual_channel,
 )
 from hqlink.photon import PBS_EXTINCTION, JitterParams, depolarizing_chi, pbs_bitflip_channel
+from hqlink.scenarios import pipeline_stages
 from hqlink.tomography import BOOTSTRAP_RESAMPLES, bootstrap_uncertainty
 
 unit = st.floats(0.0, 1.0)
@@ -233,14 +244,42 @@ SHARED_FIELDS = [
 ]
 OFFSETS, WINDOWS, TARGET, SPAN, STRENGTHS, _, _ = pump_inputs(ExperimentConfig.defaults())
 PLAN = plan_pump_regions(OFFSETS, WINDOWS, TARGET, SPAN)
+TI_QM = ExperimentConfig.defaults("ti_qm")
+
+
+def stages_past_load(path: str):
+    """pipeline_stages of the default ti_qm config with the field at ``path``
+    set to the argument after the load-time check, which the stage's own
+    check then meets."""
+    def build(value):
+        raw = copy.deepcopy(TI_QM.raw)
+        *sections, key = path.split(".")
+        functools.reduce(dict.__getitem__, sections, raw)[key] = value
+        return pipeline_stages(dataclasses.replace(TI_QM, raw=raw), "ti_qm")
+    return build
+
+
 # (builder of one argument, argument name, rule, config path) of each
-# builder that takes one config field as it is, and of the emission, whose
-# elapsed time no config field holds (path None).
+# builder that takes one config field as it is, of each pipeline stage, and
+# of the emission, whose elapsed time no config field holds (path None).
 BUILDER_RULES = [
     (lambda v: decoherence_channel(IonParams(), v), "t_us", rules.FINITE_NONNEGATIVE,
      "scenarios.ti_qm.decoherence_time_us"),
     (lambda v: decoherence_channel(IonParams(), 1.0, v), "exponent_a", DECOHERENCE_EXPONENT,
      "pipeline.decoherence_exponent_a"),
+    *[(lambda v, f=f: f(IonParams(), v), "t_us", rules.FINITE_NONNEGATIVE,
+       "scenarios.ti_qm.decoherence_time_us")
+      for f in (decoherence_coherence, decoherence_infidelity)],
+    *[(lambda v, f=f: f(IonParams(), 1.0, v), "exponent_a", DECOHERENCE_EXPONENT,
+       "pipeline.decoherence_exponent_a") for f in (decoherence_coherence, decoherence_infidelity)],
+    *[(stages_past_load(path), arg, rule, path) for path, arg, rule in (
+        ("scenarios.ti_qm.decoherence_time_us", "t_us", rules.FINITE_NONNEGATIVE),
+        ("pipeline.decoherence_exponent_a", "exponent_a", DECOHERENCE_EXPONENT),
+        ("pipeline.qfc_process_fidelity", "process_fidelity", rules.PROBABILITY),
+        ("storage.eta_internal_h", "eta_h", rules.PROBABILITY),
+        ("storage.eta_internal_v", "eta_v", rules.PROBABILITY),
+        ("storage.residual_infidelity", "avg_infidelity", RESIDUAL_INFIDELITY),
+        ("noise.pbs_extinction", "extinction", PBS_EXTINCTION))],
     (depolarizing_chi, "process_fidelity", rules.PROBABILITY, "pipeline.qfc_process_fidelity"),
     (pbs_bitflip_channel, "extinction", PBS_EXTINCTION, "noise.pbs_extinction"),
     (lambda v: storage_channel(v, 0.5), "eta_h", rules.PROBABILITY, "storage.eta_internal_h"),

@@ -461,22 +461,32 @@ def chsh_oracle(rho, s):
 
 
 def simulate_chsh_oracle(rho, s, shots_total, snr, rng_seed):
-    """simulate_chsh with a per-outcome table of np.kron projectors, each
-    observable eigendecomposed per setting."""
+    """simulate_chsh with a per-outcome table of np.kron eigenvectors u, each
+    observable eigendecomposed per setting.
+
+    Each outcome probability u^dag rho u must match tr(P rho) of its np.kron
+    projector P to a few ulps, and is sampled as summed by simulate_chsh's
+    einsum: where a conditional probability of the multinomial draw sits at
+    1/2 (a Bell-diagonal state), numpy's binomial draws B(n, p) or
+    n - B(n, 1 - p) by its last bit, so one ulp can swap two counts."""
     rng = as_rng(rng_seed)
     state = rho if snr is None else dark_noise_admixture(rho, snr)
     total, var = 0.0, 0.0
     for (a, b, sign), shots in zip(s.pairs(), split_heralds(shots_total, 4)):
         wa, va = np.linalg.eigh(a.matrix)
         wb, vb = np.linalg.eigh(b.matrix)
-        probs, values = [], []
+        vectors, traces, values = [], [], []
         for i in range(2):
             pa = np.outer(va[:, i], va[:, i].conj())
             for j in range(2):
                 pb = np.outer(vb[:, j], vb[:, j].conj())
-                probs.append(float(np.real(np.trace(np.kron(pa, pb) @ state.matrix))))
+                vectors.append(np.kron(va[:, i], vb[:, j]))
+                traces.append(float(np.real(np.trace(np.kron(pa, pb) @ state.matrix))))
                 values.append(float(np.sign(wa[i]) * np.sign(wb[j])))
-        probs = np.clip(np.array(probs), 0, None)
+        u = np.ascontiguousarray(np.array(vectors).T)
+        probs = np.einsum("ij,ik,kj->j", u.conj(), state.matrix, u).real
+        np.testing.assert_allclose(probs, traces, rtol=0, atol=1e-15)
+        probs = np.clip(probs, 0, None)
         counts = rng.multinomial(shots, probs / probs.sum())
         e = float(counts @ np.array(values)) / shots
         total += sign * e
