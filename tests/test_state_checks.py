@@ -150,7 +150,8 @@ def _random_state(values: list, n: int) -> np.ndarray:
     g = np.reshape(values[:n * n], (n, n)) + 1j * np.reshape(values[n * n:2 * n * n], (n, n))
     m = g @ g.conj().T
     tr = np.trace(m).real
-    return m / tr if tr > 0 else np.eye(n, dtype=complex) / n
+    # a subnormal trace overflows the complex division, so it falls back too
+    return m / tr if tr >= np.finfo(float).tiny else np.eye(n, dtype=complex) / n
 
 
 @st.composite
