@@ -28,7 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override shots/heralds/trials of the chosen scenario")
     parser.add_argument("--out", help="output directory override")
     parser.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="summary format (matrix and tables are always written)")
+                        help="csv also writes the summary as CSV (the JSON summary, "
+                             "matrix and tables are always written)")
     return parser
 
 

@@ -10,6 +10,7 @@ rejected.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import math
 import sys
@@ -188,12 +189,11 @@ FIELD_RULES = {
 
 
 def _rule_pattern(path: str) -> str:
-    """The FIELD_RULES key that matches the dotted ``path``; a field that
-    matches none, or more than one, fails the unpacking."""
-    parts = path.split(".")
-    (pattern,) = [pattern for pattern in FIELD_RULES
-                  if len(keys := pattern.split(".")) == len(parts)
-                  and all(k in ("*", part) for k, part in zip(keys, parts))]
+    """The FIELD_RULES key that matches the dotted ``path``, looked up among
+    its ``*`` variants (at most 8); a field that matches none, or more than
+    one, fails the unpacking."""
+    (pattern,) = [pattern for pattern in map(".".join, itertools.product(
+        *((part, "*") for part in path.split(".")))) if pattern in FIELD_RULES]
     return pattern
 
 
@@ -234,7 +234,7 @@ class ExperimentConfig:
         errors: list[str] = []
         _deep_update(cfg, data, errors)
         rejected: set[str] = set()
-        _check_fields(cfg, errors, rejected)
+        _check_fields(cfg, data, errors, rejected)
         _check_spans(errors, cfg, rejected)
         comb = None
         # the one dataclass that checks its fields against each other
@@ -259,9 +259,10 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError: not UTF-8 or not JSON; RecursionError: nested too deep
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError([f"config file {path}: {exc}"]) from exc
         return cls.from_dict(data)
 
@@ -301,21 +302,34 @@ def _deep_update(base: dict, extra: dict, errors: list | None = None, path: str 
             base[k] = v
 
 
-def _check_fields(cfg: dict, errors: list, rejected: set):
-    """Test each field of the merged config against its rule; add the dotted
-    path of each one that fails to ``rejected``."""
+def _check_fields(cfg: dict, given: dict, errors: list, rejected: set):
+    """Test each field of the merged config that the caller's tree ``given``
+    sets against its rule, in the order of the merged config; add the dotted
+    path of each one that fails to ``rejected``.  Every other field holds
+    its default, which passed at import."""
     for keys, prefix, by_key, label_rule in _SECTION_RULES:
-        section = cfg
-        for key in keys:  # the merge keeps every section an object
-            section = section[key]
-        for key, v in section.items():
-            rule = by_key.get(key, label_rule)  # None: a subsection
-            if rule is not None:
-                try:
-                    rules.check(prefix + key, rule, v)
-                except ValueError as exc:
-                    errors.append(str(exc))
-                    rejected.add(prefix + key)
+        section, part = cfg, given
+        for key in keys:  # the merge keeps every section of cfg an object
+            section, part = section[key], part.get(key)
+            if not isinstance(part, dict):
+                break
+        else:
+            for key, v in section.items():
+                rule = by_key.get(key, label_rule)  # None: a subsection
+                if rule is not None and key in part:
+                    try:
+                        rules.check(prefix + key, rule, v)
+                    except ValueError as exc:
+                        errors.append(str(exc))
+                        rejected.add(prefix + key)
+
+
+def _check_defaults(tree: dict):
+    """Raise ConfigError unless every field of the defaults ``tree`` follows its rule."""
+    errors: list[str] = []
+    _check_fields(tree, tree, errors, set())
+    if errors:
+        raise ConfigError(errors)
 
 
 def _check_spans(errors: list, cfg: dict, rejected: set):
@@ -341,6 +355,10 @@ def _check_spans(errors: list, cfg: dict, rejected: set):
         if rejected.isdisjoint(paths) and not sec[start_key] < sec[stop_key]:
             errors.append(f"{paths[0]}: {sec[start_key]!r} is not below "
                           f"{stop_key} = {sec[stop_key]!r}")
+
+
+# Checked once here, so that a build checks only the fields its caller sets.
+_check_defaults(_DEFAULTS)
 
 
 # ---------------------------------------------------------------------------

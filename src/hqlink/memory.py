@@ -111,8 +111,8 @@ def bandwidth_match(m: SpectralModel) -> float:
     c = m.zeeman_split_mhz / 2.0
     half = m.qm_bandwidth_mhz / 2.0
     df = m.detuning_mhz
-    total = sum(math.atan((half + df - s * c) / hw) + math.atan((half - df + s * c) / hw)
-                for s in (+1, -1))
+    total = ((math.atan((half + df - c) / hw) + math.atan((half - df + c) / hw))
+             + (math.atan((half + df + c) / hw) + math.atan((half - df - c) / hw)))
     return min(max(total / (2 * math.pi), 0.0), 1.0)
 
 

@@ -17,6 +17,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,6 @@ from .qstate import (
     fidelity,
     matrix_to_json_dict,
     round15,
-    round15_all,
     werner,
 )
 from .rng import child_rng
@@ -52,7 +52,7 @@ class RunReport:
     rate_table: list = field(default_factory=list)
     stage_table: list = field(default_factory=list)
     breakdown: list = field(default_factory=list)
-    sweep: list = field(default_factory=list)
+    sweep: list = field(default_factory=list)  # unrounded: the CSV's "%.15g" rounds
     sweep_columns: tuple = ()
     counts_records: list = field(default_factory=list)
 
@@ -245,18 +245,12 @@ def _run_budget(cfg: ExperimentConfig) -> RunReport:
     return report
 
 
-def _rounded_rows(xs: list, ys: list) -> list[tuple[float, float]]:
-    """(round15(x), round15(y)) rows, every value rounded in one pass."""
-    rounded = round15_all(xs + ys)
-    return list(zip(rounded[:len(xs)], rounded[len(xs):]))
-
-
 def _run_afc_sweep(cfg: ExperimentConfig) -> RunReport:
     scen = cfg.scenario_section()
     report = RunReport(scenario=cfg.scenario, seed=cfg.master_seed)
     ts = np.linspace(scen["t_start_ns"], scen["t_stop_ns"], int(scen["points"])).tolist()
     report.sweep_columns = ("t_storage_ns", "afc_efficiency")
-    report.sweep = _rounded_rows(ts, [memory.afc_efficiency(cfg.comb, t) for t in ts])
+    report.sweep = [(t, memory.afc_efficiency(cfg.comb, t)) for t in ts]
     report.add("efficiency_at_500ns", memory.afc_efficiency(cfg.comb, 500.0))
     report.add("efficiency_at_1us", memory.afc_efficiency(cfg.comb, 1000.0))
     return report
@@ -272,8 +266,8 @@ def _run_bandwidth_sweep(cfg: ExperimentConfig) -> RunReport:
     matches = [memory.bandwidth_match(memory.SpectralModel(
         sp.gamma_natural_mhz, sp.zeeman_split_mhz, sp.qm_bandwidth_mhz, df)) for df in dfs]
     report.sweep_columns = ("detuning_mhz", "bandwidth_match")
-    report.sweep = _rounded_rows(dfs, matches)
-    report.add("peak_bandwidth_match", max(v for _, v in report.sweep))
+    report.sweep = list(zip(dfs, matches))
+    report.add("peak_bandwidth_match", max(matches))
     return report
 
 
@@ -307,21 +301,62 @@ def _matrix_json(matrix: dict) -> str:
             f'\n  "re": {column(re)}\n}}')
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) of a tree with str keys,
+    at the nesting whose line break and indent is ``newline``.  The indent=
+    path of json is its pure-Python encoder; this one calls a function per
+    value, not a generator per container.  A value json cannot encode, and
+    a key that is not a str, raise TypeError; a circular tree raises
+    RecursionError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def emit_report(report: RunReport, out_dir: str | Path, fmt: str = "json") -> list[Path]:
     """Write the report files; filenames embed scenario and seed.
 
-    ``fmt`` selects the summary flavor ("json" or "csv"); the matrix JSON and
-    any tables are always written when present.
+    The JSON summary, the matrix JSON and any tables are always written when
+    present; ``fmt="csv"`` writes a CSV summary as well ("json" or "csv").
     """
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if not out.is_dir():  # mkdir raises and catches FileExistsError otherwise
+        out.mkdir(parents=True, exist_ok=True)
     stem = f"{report.scenario}_seed{report.seed}"
 
     doc = report.to_json_dict()
     matrix = doc["matrix"]
-    text = json.dumps({**doc, "matrix": None}, indent=2, sort_keys=True) + "\n"
+    text = _json_text({**doc, "matrix": None}) + "\n"
     if matrix is not None:
         # the matrix is encoded once; in the summary it sits one level deeper,
         # on the top-level "matrix" line (two spaces: no nested key matches)

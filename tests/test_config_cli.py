@@ -23,8 +23,18 @@ from hqlink.budget import ErrorSource
 from hqlink.config import BUDGET_KEYS, ConfigError, ExperimentConfig, default_config_dict
 from hqlink.memory import bandwidth_match
 from hqlink.qstate import StateError
-from hqlink.scenarios import RunReport, analytic_fidelity, emit_report, run
+from hqlink.scenarios import RunReport, _json_text, analytic_fidelity, emit_report, run
 from hqlink.tomography import NonConvergenceError
+
+
+# str-keyed JSON trees: every scalar json encodes, lone surrogates included
+_ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2 ** 63, 2 ** 300) | st.floats()
+    | _ANY_TEXT,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(_ANY_TEXT, kids, max_size=4)),
+    max_leaves=24)
 
 
 class TestConfig:
@@ -164,6 +174,27 @@ class TestScenarioRuns:
         else:
             assert "ti_qm_seed3_matrix.json" not in files
 
+    @settings(max_examples=200, deadline=None)
+    @given(tree=JSON_TREES)
+    @example(tree={"floats": [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf,
+                              -math.inf, 0.1, 1e16, 1.5e-7]})
+    @example(tree={'q"uo\\te': ['"', "\\", "\x00\x1f\t\n\x7f", "é€\U0001f600", "\ud800",
+                                 "x\udfffy"], "\ud83d": "\u2028"})
+    @example(tree={"ints": [2 ** 64, -2 ** 200, 0, True, False, None], "t": (1, (2.5, "a")),
+                   "e": [{}, [], (), {"": {}}], "": ""})
+    @example(tree=[])
+    @example(tree="top-level \u00ff")
+    def test_direct_encoder_matches_json_dumps(self, tree):
+        assert _json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("bad", [object(), {1, 2}, 1j, b"x", np.int64(3), bytearray()])
+    def test_direct_encoder_rejects_what_json_rejects(self, bad):
+        for tree in (bad, [0.5, bad], {"a": {"b": [bad]}}):
+            with pytest.raises(TypeError) as expected:
+                json.dumps(tree, indent=2, sort_keys=True)
+            with pytest.raises(type(expected.value)):
+                _json_text(tree)
+
     def test_rewritten_report_files_are_truncated(self, tmp_path):
         # a second report into the same directory replaces every file whole,
         # also where the old file was longer
@@ -273,6 +304,20 @@ class TestCli:
         assert code == 0
         summary = json.loads((tmp_path / "t" / "ti_qm_seed5_summary.json").read_text())
         assert summary["statistics"]["total_trials"]["value"] == 180
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100000, "maximum recursion depth exceeded"),
+    ])
+    def test_unreadable_config_file_exit_two(self, content, message, tmp_path, capsys):
+        # not UTF-8, or nested deeper than the decoder recurses
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_bytes(content)
+        assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config file {cfg_path}: " in err and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_exit_two(self, capsys):
         assert cli.main(["--config", "/no/such/file.json"]) == 2

@@ -31,6 +31,7 @@ from hqlink.config import (
     SCENARIOS,
     ConfigError,
     ExperimentConfig,
+    _check_defaults,
     _rule_pattern,
     default_config_dict,
     pump_inputs,
@@ -176,6 +177,76 @@ class TestRejection:
                     ExperimentConfig.from_dict(_nest(path, value))
                 assert len(err.value.errors) == 1, err.value.errors
                 assert err.value.errors[0].startswith(f"{path}: expected "), err.value.errors
+
+
+# fields a build may set: every field of the defaults and a label added to each label map
+OVERRIDE_PATHS = [*LEAVES, "pump.ground_offsets.7/2g", "pump.excited_offsets.7/2e",
+                  "pump.strengths.1/2g:7/2e", "pump.native_d.D"]
+
+
+def _load(tree: dict):
+    """The raw config ``tree`` loads to, or the errors that reject it."""
+    try:
+        return ExperimentConfig.from_dict(tree).raw
+    except ConfigError as exc:
+        return exc.errors
+
+
+def _fields(tree: dict, defaults: dict, path: str = ""):
+    """(dotted path, value) of every field of a full config tree, in the order
+    a check of every field takes them: a section's fields, then its subsections."""
+    for key, value in tree.items():
+        if not isinstance(defaults.get(key), dict):
+            yield path + key, value
+    for key, value in tree.items():
+        if isinstance(defaults.get(key), dict):
+            yield from _fields(value, defaults[key], path + key + ".")
+
+
+class TestDefaultsCheckedOnce:
+    """The defaults pass their rules once, at import; a build then checks
+    only the fields its caller sets, with the errors of a full check."""
+
+    def test_defaults_pass_the_import_check(self):
+        _check_defaults(default_config_dict())
+
+    @pytest.mark.parametrize("path", list(LEAVES))
+    def test_import_check_rejects_one_bad_default(self, path):
+        tree = default_config_dict()
+        *parents, last = path.split(".")
+        section = functools.reduce(dict.__getitem__, parents, tree)
+        section[last] = math.nan  # NaN passes no rule
+        with pytest.raises(ConfigError) as err:
+            _check_defaults(tree)
+        assert err.value.errors == [
+            f"{path}: expected {FIELD_RULES[_rule_pattern(path)].what}, got nan"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(fields=st.dictionaries(
+        st.sampled_from(OVERRIDE_PATHS),
+        st.sampled_from(list(LEAVES.values())) | st.floats() | st.integers() | non_numbers,
+        max_size=6))
+    def test_a_build_reports_what_a_check_of_every_field_reports(self, fields):
+        # the same fields set in a partial tree and in a full copy of the
+        # defaults: the same config, or the same errors in the same order
+        data, full = {}, default_config_dict()
+        for path, value in fields.items():
+            *parents, last = path.split(".")
+            for tree in (data, full):
+                for key in parents:
+                    tree = tree.setdefault(key, {})
+                tree[last] = value
+        loaded = _load(data)
+        assert loaded == _load(full)
+        # the field errors lead, as every field's rule reports them
+        expected = []
+        for path, value in _fields(full, default_config_dict()):
+            try:
+                rules.check(path, FIELD_RULES[_rule_pattern(path)], value)
+            except ValueError as exc:
+                expected.append(str(exc))
+        if expected:
+            assert loaded[:len(expected)] == expected
 
 
 class TestFieldRules:

@@ -384,8 +384,24 @@ class TestSerialization:
     @given(st.lists(st.floats() | st.integers(-10 ** 20, 10 ** 20), max_size=30))
     @example([-0.0, 5e-324, 2.2250738585072014e-308, 1e300, math.inf, math.nan, 7, 0.1])
     def test_round15_all_is_round15_of_each(self, values):
-        # the sweeps round their rows in one pass
+        # the matrix entries are rounded in one pass
         assert [v.hex() for v in round15_all(values)] == [round15(v).hex() for v in values]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats())
+    @example(-0.0)
+    @example(5e-324)
+    @example(2.2250738585072014e-308)
+    @example(1.7976931348623157e308)
+    @example(0.1 + 0.2)
+    @example(9.999999999999995e-5)
+    def test_15_digit_text_of_round15_is_the_values(self, x):
+        # the sweeps keep their rows unrounded: the CSV's "%.15g" writes the
+        # text a round15 row would have, but where round15 overflows to inf
+        if math.isfinite(x) and math.isinf(round15(x)):
+            assert abs(x) >= 1.797693134862315e308
+        else:
+            assert "%.15g" % round15(x) == "%.15g" % x
 
     def test_dim_preserved(self):
         d = matrix_to_json_dict(np.eye(2, dtype=complex) / 2)
