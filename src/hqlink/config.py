@@ -20,7 +20,7 @@ from pathlib import Path
 from . import rules
 from .budget import EfficiencyStage, ErrorSource, RateChain
 from .ion import DECOHERENCE_EXPONENT, IonParams, decoherence_infidelity
-from .memory import INTERVAL, RESIDUAL_INFIDELITY, CombParams, SpectralModel
+from .memory import RESIDUAL_INFIDELITY, CombParams, SpectralModel
 from .photon import PBS_EXTINCTION, JitterParams, jitter_infidelity
 from .tomography import BOOTSTRAP_RESAMPLES
 
@@ -32,15 +32,33 @@ BUDGET_KEYS = {"ion_photon": "shots", "post_qfc": "shots", "ti_qm": "heralds",
 # Start and stop fields of each sweep scenario's range.
 SWEEP_RANGES = {"afc_sweep": ("t_start_ns", "t_stop_ns"),
                 "bandwidth_sweep": ("df_start_mhz", "df_stop_mhz")}
-# Label maps under ``pump``: their keys are data (level and transition
-# labels), not config fields, so any key is accepted there.
-LABEL_MAPS = ("pump.ground_offsets", "pump.excited_offsets", "pump.strengths",
-              "pump.native_d")
 # Published ledger rows with no pipeline field of their own.  Their models
 # give 0.0259 (dark_noise_infidelity at SNR 28) and 0.0024
 # (storage.residual_infidelity).
 DARK_NOISE_INFIDELITY_PUBLISHED = 0.027
 QM_STORAGE_INFIDELITY_PUBLISHED = 0.002
+# The published enhancement-pump design behind comb.d: hyperfine offsets (MHz)
+# of the site-2 ion classes on the pump-design axis (reference transition
+# 5/2g -> 1/2e at zero), relative transition strengths, the two enhancement
+# chirps in the order applied, the target band, the inhomogeneous broadening,
+# the native depths and the weight of a partially addressed level.  No
+# scenario reads it: the link takes the measured comb.d and storage
+# efficiencies.
+PUMP_GROUND_OFFSETS_MHZ = {"1/2g": 224.5, "3/2g": 148.1, "5/2g": 0.0}
+PUMP_EXCITED_OFFSETS_MHZ = {"1/2e": 0.0, "3/2e": 159.1, "5/2e": 431.8}
+PUMP_TRANSITION_OFFSETS_MHZ = {(g, e): g_mhz + e_mhz
+                               for g, g_mhz in PUMP_GROUND_OFFSETS_MHZ.items()
+                               for e, e_mhz in PUMP_EXCITED_OFFSETS_MHZ.items()}
+PUMP_STRENGTHS = {
+    ("1/2g", "1/2e"): 0.56, ("1/2g", "3/2e"): 0.38, ("1/2g", "5/2e"): 0.06,
+    ("3/2g", "1/2e"): 0.42, ("3/2g", "3/2e"): 0.42, ("3/2g", "5/2e"): 0.16,
+    ("5/2g", "1/2e"): 0.02, ("5/2g", "3/2e"): 0.24, ("5/2g", "5/2e"): 0.74,
+}
+PUMP_WINDOWS_MHZ = ((274.0, 497.2), (0.0, 223.2))
+PUMP_TARGET_MHZ = (224.5, 272.7)
+PUMP_BROADENING_MHZ = 497.2
+PUMP_NATIVE_D = {"H": 5.24, "V": 4.66}
+PUMP_PARTIAL_WEIGHT = 0.5
 
 
 class ConfigError(ValueError):
@@ -64,23 +82,6 @@ def default_config_dict() -> dict:
         "noise": {"pbs_extinction": 3500.0},
         "comb": {"d": 10.5, "gamma_comb_khz": 259.8, "delta_mhz": 2.0, "finesse": 7.7},
         "spectral": {"gamma_natural_mhz": 19.6, "qm_bandwidth_mhz": 48.2},
-        # Hyperfine offsets of the site-2 ion classes on the pump-design axis
-        # (reference transition 5/2g -> 1/2e at zero) and relative transition
-        # strengths.  Windows are the two enhancement chirps, applied in order.
-        "pump": {
-            "ground_offsets": {"1/2g": 224.5, "3/2g": 148.1, "5/2g": 0.0},
-            "excited_offsets": {"1/2e": 0.0, "3/2e": 159.1, "5/2e": 431.8},
-            "windows": [[274.0, 497.2], [0.0, 223.2]],
-            "target": [224.5, 272.7],
-            "broadening_mhz": 497.2,
-            "strengths": {
-                "1/2g:1/2e": 0.56, "1/2g:3/2e": 0.38, "1/2g:5/2e": 0.06,
-                "3/2g:1/2e": 0.42, "3/2g:3/2e": 0.42, "3/2g:5/2e": 0.16,
-                "5/2g:1/2e": 0.02, "5/2g:3/2e": 0.24, "5/2g:5/2e": 0.74,
-            },
-            "native_d": {"H": 5.24, "V": 4.66},
-            "partial_weight": 0.5,
-        },
         "storage": {
             "eta_internal_h": 0.310,
             "eta_internal_v": 0.289,
@@ -138,7 +139,7 @@ _DEFAULTS = default_config_dict()
 # The one rule of each config field: what the value must be, and its test.
 # A field that a dataclass or a channel builder takes as it is takes the
 # same rule object there, and NaN and booleans fail every rule.  ``*``
-# stands for any one key, and a label added to a label map takes its ``*``.
+# stands for any one key.
 FIELD_RULES = {
     "scenario": rules.Rule(f"one of {SCENARIOS}", lambda v: v in SCENARIOS),
     "master_seed": rules.integer_from(0),
@@ -150,15 +151,6 @@ FIELD_RULES = {
     **{f"comb.{key}": CombParams.RULES[key] for key in _DEFAULTS["comb"]},
     **{f"spectral.{key}": SpectralModel.RULES[key] for key in _DEFAULTS["spectral"]},
     "noise.pbs_extinction": PBS_EXTINCTION,
-    "pump.ground_offsets.*": rules.FINITE,
-    "pump.excited_offsets.*": rules.FINITE,
-    "pump.windows": rules.Rule("a list of [lo, hi] number pairs with lo < hi",
-                         lambda v: isinstance(v, (list, tuple)) and all(map(INTERVAL.test, v))),
-    "pump.target": INTERVAL,
-    "pump.broadening_mhz": rules.POSITIVE_FINITE,
-    "pump.strengths.*": rules.FINITE_NONNEGATIVE,
-    "pump.native_d.*": rules.FINITE_NONNEGATIVE,  # memory.effective_depth
-    "pump.partial_weight": rules.PROBABILITY,
     "storage.eta_internal_h": rules.PROBABILITY,  # memory.storage_channel
     "storage.eta_internal_v": rules.PROBABILITY,
     "storage.eta_device_h": EfficiencyStage.RULES["eta_h"],
@@ -198,13 +190,13 @@ def _rule_pattern(path: str) -> str:
 
 
 def _section_rules(tree: dict, keys: tuple = ()):
-    """(keys from the root, dotted prefix, {field: rule}, rule of an added
-    label) of every object in the defaults.  Each field's rule is resolved
-    here once; the merge adds no path but labels in label maps."""
+    """(keys from the root, dotted prefix, {field: rule}) of every object in
+    the defaults.  Each field's rule is resolved here once; the merge adds
+    no path."""
     prefix = "".join(k + "." for k in keys)
     by_key = {key: FIELD_RULES[_rule_pattern(prefix + key)]
               for key, v in tree.items() if not isinstance(v, dict)}
-    yield keys, prefix, by_key, FIELD_RULES.get(prefix + "*")
+    yield keys, prefix, by_key
     for key, v in tree.items():
         if isinstance(v, dict):
             yield from _section_rules(v, keys + (key,))
@@ -294,7 +286,7 @@ def _deep_update(base: dict, extra: dict, errors: list | None = None, path: str 
             _deep_update(base[k], v, errors, key + ".")
         elif errors is None:
             base[k] = v
-        elif k not in base and path[:-1] not in LABEL_MAPS:
+        elif k not in base:
             errors.append(f"{key}: unknown field")
         elif isinstance(base.get(k), dict):
             errors.append(f"{key}: expected an object, got {v!r}")
@@ -307,7 +299,7 @@ def _check_fields(cfg: dict, given: dict, errors: list, rejected: set):
     sets against its rule, in the order of the merged config; add the dotted
     path of each one that fails to ``rejected``.  Every other field holds
     its default, which passed at import."""
-    for keys, prefix, by_key, label_rule in _SECTION_RULES:
+    for keys, prefix, by_key in _SECTION_RULES:
         section, part = cfg, given
         for key in keys:  # the merge keeps every section of cfg an object
             section, part = section[key], part.get(key)
@@ -315,7 +307,7 @@ def _check_fields(cfg: dict, given: dict, errors: list, rejected: set):
                 break
         else:
             for key, v in section.items():
-                rule = by_key.get(key, label_rule)  # None: a subsection
+                rule = by_key.get(key)  # None: a subsection
                 if rule is not None and key in part:
                     try:
                         rules.check(prefix + key, rule, v)
@@ -343,18 +335,18 @@ def _check_spans(errors: list, cfg: dict, rejected: set):
         if rules.number(v) and 0 < v < sys.float_info.min:
             errors.append(f"storage.{key}: {v!r} is subnormal; expected 0 or at least "
                           f"{sys.float_info.min!r}")
-    pump = cfg["pump"]
-    for label in pump["strengths"]:
-        ground, _, excited = label.partition(":")
-        if ground not in pump["ground_offsets"] or excited not in pump["excited_offsets"]:
-            errors.append(f"pump.strengths.{label}: expected a ground:excited pair of "
-                          f"pump.ground_offsets and pump.excited_offsets labels")
     for scen, (start_key, stop_key) in SWEEP_RANGES.items():
         sec = cfg["scenarios"][scen]
         paths = [f"scenarios.{scen}.{start_key}", f"scenarios.{scen}.{stop_key}"]
-        if rejected.isdisjoint(paths) and not sec[start_key] < sec[stop_key]:
+        if not rejected.isdisjoint(paths):
+            continue
+        if not sec[start_key] < sec[stop_key]:
             errors.append(f"{paths[0]}: {sec[start_key]!r} is not below "
                           f"{stop_key} = {sec[stop_key]!r}")
+        elif not math.isfinite(float(sec[stop_key]) - float(sec[start_key])):
+            # np.linspace would overflow its step
+            errors.append(f"{paths[0]}, {paths[1]}: the width {sec[stop_key]!r} - "
+                          f"{sec[start_key]!r} overflows; expected a finite range")
 
 
 # Checked once here, so that a build checks only the fields its caller sets.
@@ -366,15 +358,12 @@ _check_defaults(_DEFAULTS)
 
 
 def pump_inputs(cfg: ExperimentConfig):
-    """(level_offsets, windows, target, broadening, strengths, native_d, w_partial)."""
-    sec = cfg.section("pump")
-    ground = sec["ground_offsets"]
-    excited = sec["excited_offsets"]
-    offsets = {(g, e): ground[g] + excited[e] for g in ground for e in excited}
-    strengths = {tuple(k.split(":")): v for k, v in sec["strengths"].items()}
-    windows = [tuple(w) for w in sec["windows"]]
-    return (offsets, windows, tuple(sec["target"]), sec["broadening_mhz"],
-            strengths, dict(sec["native_d"]), sec["partial_weight"])
+    """(level_offsets, windows, target, broadening, strengths, native_d, w_partial)
+    of the published pump design, as fresh containers.  ``cfg`` is not read:
+    the design is a set of module constants, not configuration."""
+    return (dict(PUMP_TRANSITION_OFFSETS_MHZ), list(PUMP_WINDOWS_MHZ), PUMP_TARGET_MHZ,
+            PUMP_BROADENING_MHZ, dict(PUMP_STRENGTHS), dict(PUMP_NATIVE_D),
+            PUMP_PARTIAL_WEIGHT)
 
 
 def rate_chains(cfg: ExperimentConfig) -> dict:

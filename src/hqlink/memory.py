@@ -84,14 +84,20 @@ def afc_efficiency(c: CombParams, t_storage_ns: float) -> float:
     """Internal storage efficiency of the comb after t_storage.
 
     eta = B^2 (d/F)^2 exp(-B d/F - 2 pi B^2 t^2 gamma^2) with Gaussian teeth,
-    B = sqrt(pi)/sqrt(4 ln 2).  Clamped to [0, 1].
+    B = sqrt(pi)/sqrt(4 ln 2).  Clamped to [0, 1]; 0, the model's limit, where
+    a term overflows (t from about 1.3e163 ns, or d/F from about 1.3e154).
     """
     rules.check("t_storage_ns", rules.FINITE_NONNEGATIVE, t_storage_ns)
     d_over_f = c.d / c.finesse
     t_s = t_storage_ns * 1e-9
     gamma_hz = c.gamma_comb_khz * 1e3
-    eta = (COMB_B ** 2) * d_over_f ** 2 * math.exp(
-        -COMB_B * d_over_f - 2 * math.pi * COMB_B ** 2 * t_s ** 2 * gamma_hz ** 2)
+    try:
+        eta = (COMB_B ** 2) * d_over_f ** 2 * math.exp(
+            -COMB_B * d_over_f - 2 * math.pi * COMB_B ** 2 * t_s ** 2 * gamma_hz ** 2)
+    except OverflowError:  # a square beyond the float range: each one drives eta to 0
+        return 0.0
+    if math.isnan(eta):  # (d/F)^2 B^2 overflowed to inf against an exp() of 0
+        return 0.0
     return min(max(eta, 0.0), 1.0)
 
 

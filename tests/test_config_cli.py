@@ -88,10 +88,10 @@ class TestConfig:
 
         a, b = ExperimentConfig.defaults("budget"), ExperimentConfig.defaults("budget")
         assert not containers(a.raw, set()) & containers(b.raw, set())
-        a.raw["pump"]["windows"][0][0] = -1.0
-        a.raw["pump"]["windows"].append([1.0, 2.0])
+        a.raw["scenarios"]["ti_qm"]["snr"] = -1.0
+        a.raw["scenarios"]["afc_sweep"]["extra"] = 1.0
         fresh = ExperimentConfig.defaults("budget")
-        assert fresh.raw["pump"]["windows"] == default_config_dict()["pump"]["windows"]
+        assert fresh.raw["scenarios"] == default_config_dict()["scenarios"]
         assert fresh.raw == b.raw
 
     def test_invalid_json_is_config_error(self, tmp_path):
@@ -353,6 +353,8 @@ class TestCli:
         ({"stark": {"echo_period_ns": 500.0}}, "stark: unknown field"),
         ({"spam": {"threshold": 1.5}}, "spam: unknown field"),
         ({"spectral": {"zeeman_split_mhz": 11.22}}, "spectral.zeeman_split_mhz: unknown field"),
+        # the pump design is a set of published constants, not configuration
+        ({"pump": {"partial_weight": 0.5}}, "pump: unknown field"),
         ({"rates": 5}, "rates: expected an object"),
         ([1, 2], "config: expected a JSON object"),
     ])
@@ -380,16 +382,6 @@ class TestCli:
         ("budget", {"storage": {"eta_device_v": 0.0}}, "storage.eta_device_v"),
         ("ti_qm", {"storage": {"eta_internal_h": 0, "eta_internal_v": 0}},
          "storage.eta_internal_h, storage.eta_internal_v"),
-        ("budget", {"pump": {"windows": "x"}}, "pump.windows"),
-        ("budget", {"pump": {"windows": [[497.2, 274.0]]}}, "pump.windows"),
-        ("budget", {"pump": {"target": [224.5]}}, "pump.target"),
-        ("budget", {"pump": {"broadening_mhz": "x"}}, "pump.broadening_mhz"),
-        ("budget", {"pump": {"ground_offsets": {"3/2g": "x"}}}, "pump.ground_offsets.3/2g"),
-        ("budget", {"pump": {"excited_offsets": {"5/2e": None}}}, "pump.excited_offsets.5/2e"),
-        ("budget", {"pump": {"strengths": {"1/2g:1/2e": "x"}}}, "pump.strengths.1/2g:1/2e"),
-        ("budget", {"pump": {"strengths": {"1/2g-1/2e": 0.5}}}, "pump.strengths.1/2g-1/2e"),
-        ("budget", {"pump": {"native_d": {"H": [5.24]}}}, "pump.native_d.H"),
-        ("budget", {"pump": {"partial_weight": 7}}, "pump.partial_weight"),
         ("afc_sweep", {"comb": {"d": float("nan")}},
          "comb.d: expected a positive finite number, got nan"),
         ("ti_qm", {"jitter": {"awg_rms_ns": float("nan")}},
@@ -429,8 +421,6 @@ class TestCli:
          "scenarios.ti_qm.snr: expected a number > 0, got 1000"),
         ("afc_sweep", {"comb": {"finesse": 10 ** 400}},
          "comb.finesse: expected a finite number or null, got 1000"),
-        ("budget", {"pump": {"ground_offsets": {"1/2g": 10 ** 400}}},
-         "pump.ground_offsets.1/2g: expected a finite number, got 1000"),
         ("bandwidth_sweep", {"scenarios": {"bandwidth_sweep": {"df_start_mhz": -10 ** 400}}},
          "scenarios.bandwidth_sweep.df_start_mhz: expected a finite number, got -1000"),
         # a rate-chain stage efficiency takes the stage rule at load, not
@@ -473,6 +463,37 @@ class TestCli:
     def test_bad_memory_design_input_exit_two(self, scenario, config, field, tmp_path,
                                               capsys):
         _assert_exit_two(tmp_path, capsys, scenario, config, field)
+
+    def test_sweep_whose_width_overflows_exit_two(self, tmp_path, capsys):
+        # np.linspace would overflow its step and warn before a model field failed
+        config = {"scenarios": {"bandwidth_sweep": {"df_start_mhz": -1.7e308,
+                                                    "df_stop_mhz": 1.7e308}}}
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli.main(["--config", str(cfg_path), "--scenario", "bandwidth_sweep",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid configuration:\n  scenarios.bandwidth_sweep.df_start_mhz, "
+            "scenarios.bandwidth_sweep.df_stop_mhz: the width 1.7e+308 - -1.7e+308 overflows; "
+            "expected a finite range\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_afc_sweep_far_points_read_the_models_limit(self, tmp_path, capsys):
+        # t^2 overflows a float from about 1.3e163 ns; the efficiency there is 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenarios": {"afc_sweep": {"t_stop_ns": 1e170}}}))
+        assert cli.main(["--config", str(cfg_path), "--scenario", "afc_sweep", "--seed", "1",
+                         "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "o" / "afc_sweep_seed1_sweep.csv").read_text().splitlines()[1:]
+        far = [line.split(",") for line in rows if float(line.split(",")[0]) > 1.3e163]
+        assert len(far) == 45 and all(eff == "0" for _, eff in far)
+
+    @pytest.mark.parametrize("d", [1.5e155, 1e160])
+    def test_afc_efficiency_of_an_overflowing_depth_is_zero(self, d):
+        # (d/F)^2 overflows to inf against exp() = 0, or raises
+        comb = replace(ExperimentConfig.defaults("afc_sweep").comb, d=d)
+        assert memory.afc_efficiency(comb, 1000.0) == 0.0
 
     def test_nonconvergence_exit_three(self, monkeypatch, capsys):
         def explode(cfg):

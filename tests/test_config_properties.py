@@ -26,8 +26,8 @@ import hqlink.cli as cli
 import hqlink.rules as rules
 from hqlink.budget import EfficiencyStage, ErrorSource, RateChain
 from hqlink.config import (
+    BUDGET_KEYS,
     FIELD_RULES,
-    LABEL_MAPS,
     SCENARIOS,
     ConfigError,
     ExperimentConfig,
@@ -54,8 +54,22 @@ from hqlink.memory import (
     storage_residual_channel,
 )
 from hqlink.photon import PBS_EXTINCTION, JitterParams, depolarizing_chi, pbs_bitflip_channel
-from hqlink.scenarios import pipeline_stages
-from hqlink.tomography import BOOTSTRAP_RESAMPLES, bootstrap_uncertainty
+from hqlink.rng import child_rng
+from hqlink.scenarios import (
+    analytic_fidelity,
+    analytic_pipeline_state,
+    emit_report,
+    pipeline_stages,
+    run,
+)
+from hqlink.tomography import (
+    BOOTSTRAP_RESAMPLES,
+    all_settings,
+    bootstrap_uncertainty,
+    records_to_csv,
+    simulate_tomography,
+    split_heralds,
+)
 
 unit = st.floats(0.0, 1.0)
 white_noise_rate = st.floats(0.0, 0.75)
@@ -81,19 +95,18 @@ configs = st.fixed_dictionaries(
 
 
 def _sections(tree: dict, path: str = ""):
-    """Dotted paths of every object in the defaults whose keys are config fields."""
+    """Dotted paths of every object in the defaults."""
     yield path
     for key, value in tree.items():
-        sub = path + key
-        if isinstance(value, dict) and sub not in LABEL_MAPS:
-            yield from _sections(value, sub + ".")
+        if isinstance(value, dict):
+            yield from _sections(value, path + key + ".")
 
 
 SECTIONS = list(_sections(default_config_dict()))
 
 
 def _leaves(tree: dict, path: str = ""):
-    """(dotted path, default) of every field in the defaults, labels included."""
+    """(dotted path, default) of every field in the defaults."""
     for key, value in tree.items():
         if isinstance(value, dict):
             yield from _leaves(value, path + key + ".")
@@ -179,9 +192,8 @@ class TestRejection:
                 assert err.value.errors[0].startswith(f"{path}: expected "), err.value.errors
 
 
-# fields a build may set: every field of the defaults and a label added to each label map
-OVERRIDE_PATHS = [*LEAVES, "pump.ground_offsets.7/2g", "pump.excited_offsets.7/2e",
-                  "pump.strengths.1/2g:7/2e", "pump.native_d.D"]
+# fields a build may set: every field of the defaults
+OVERRIDE_PATHS = list(LEAVES)
 
 
 def _load(tree: dict):
@@ -259,12 +271,23 @@ class TestFieldRules:
                 raise AssertionError(f"{path} matches no rule or more than one") from None
         assert set(patterns.values()) == set(FIELD_RULES)
 
-    def test_added_label_takes_its_maps_rule(self):
-        cfg = ExperimentConfig.defaults("budget", pump={"native_d": {"D": 1.0}})
-        assert cfg.section("pump")["native_d"]["D"] == 1.0
-        with pytest.raises(ConfigError, match=r"pump\.native_d\.D: expected a finite "
-                                              r"number >= 0, got -1\.0"):
-            ExperimentConfig.defaults("budget", pump={"native_d": {"D": -1.0}})
+    def test_pump_inputs_are_the_published_recipe(self):
+        ground = {"1/2g": 224.5, "3/2g": 148.1, "5/2g": 0.0}
+        excited = {"1/2e": 0.0, "3/2e": 159.1, "5/2e": 431.8}
+        strengths = {"1/2g:1/2e": 0.56, "1/2g:3/2e": 0.38, "1/2g:5/2e": 0.06,
+                     "3/2g:1/2e": 0.42, "3/2g:3/2e": 0.42, "3/2g:5/2e": 0.16,
+                     "5/2g:1/2e": 0.02, "5/2g:3/2e": 0.24, "5/2g:5/2e": 0.74}
+        recipe = ({(g, e): ground[g] + excited[e] for g in ground for e in excited},
+                  [(274.0, 497.2), (0.0, 223.2)], (224.5, 272.7), 497.2,
+                  {tuple(k.split(":")): v for k, v in strengths.items()},
+                  {"H": 5.24, "V": 4.66}, 0.5)
+        got = pump_inputs(ExperimentConfig.defaults("budget"))
+        assert got == recipe
+        assert [list(x) for x in got if isinstance(x, dict)] == [
+            list(x) for x in recipe if isinstance(x, dict)]  # same key order
+        got[0].clear()
+        got[1].append((1.0, 2.0))
+        assert pump_inputs(ExperimentConfig.defaults("budget")) == recipe
 
     def test_rates_efficiencies_take_the_stage_rule_at_load(self, tmp_path):
         # each bad stage is named at load, not the first one mid-run
@@ -276,6 +299,54 @@ class TestFieldRules:
             ExperimentConfig.from_dict(config)
         assert err.value.errors == ["rates.p_pi: expected a number in (0, 1], got 1.5",
                                     "rates.e_obj: expected a number in (0, 1], got 3"]
+
+
+# Values that move no output, each with its reason.
+NO_OUTPUT_EXEMPT = {
+    # it sets only the bootstrap stddev, which the outputs below leave out
+    # to keep the test fast
+    "pipeline.bootstrap_resamples",
+    # it only cross-checks the published finesse 7.7 against delta/gamma =
+    # 7.698; dropping either would move reports or hide a constant
+    "comb.delta_mhz",
+}
+
+
+def _outputs(overrides: dict, out: Path) -> dict:
+    """What the config reaches: the report bytes of the deterministic
+    scenarios and, for the tomography ones, the analytic state and fidelity
+    and the sampled counts (no fit, no bootstrap)."""
+    outputs = {}
+    for scenario in ("budget", "chsh", "afc_sweep", "bandwidth_sweep"):
+        files = emit_report(run(ExperimentConfig.defaults(scenario, **overrides)), out, "csv")
+        outputs[scenario] = [(f.name, f.read_bytes()) for f in files]
+    for scenario in ("ion_photon", "post_qfc", "ti_qm"):
+        cfg = ExperimentConfig.defaults(scenario, **overrides)
+        scen = cfg.scenario_section()
+        state, herald_prob, breakdown = analytic_pipeline_state(cfg, scenario)
+        shots = dict(zip(((s.ion_axis, s.photon_axis) for s in all_settings()),
+                         split_heralds(scen[BUDGET_KEYS[scenario]])))
+        counts = simulate_tomography(state, shots, scen["snr"],
+                                     child_rng(cfg.master_seed, "tomography"))
+        outputs[scenario] = (state.matrix.tobytes(), herald_prob, breakdown,
+                             analytic_fidelity(cfg, scenario), records_to_csv(counts))
+    return outputs
+
+
+class TestEveryValueMatters:
+    def test_every_default_value_moves_an_output(self, tmp_path):
+        # floats x 1.001 (0.0 to 0.001), integers + 1: a value that moves
+        # nothing is not configuration
+        reference = _outputs({}, tmp_path)
+        unmoved = []
+        for path in NUMERIC_FIELDS:
+            value = LEAVES[path]
+            nudged = value + 1 if isinstance(value, int) else value * 1.001 or 1e-3
+            if _outputs(_nest(path, nudged), tmp_path) == reference:
+                unmoved.append(path)
+        assert set(unmoved) == NO_OUTPUT_EXEMPT, (
+            f"move no output: {sorted(set(unmoved) - NO_OUTPUT_EXEMPT)}; "
+            f"exempt, but move one: {sorted(NO_OUTPUT_EXEMPT - set(unmoved))}")
 
 
 # Valid keyword arguments of each parameter dataclass; each field that its
@@ -332,7 +403,8 @@ def stages_past_load(path: str):
 
 # (builder of one argument, argument name, rule, config path) of each
 # builder that takes one config field as it is, of each pipeline stage, and
-# of the emission, whose elapsed time no config field holds (path None).
+# of the emission and the pump depth, whose elapsed time and native depth no
+# config field holds (path None).
 BUILDER_RULES = [
     (lambda v: decoherence_channel(IonParams(), v), "t_us", rules.FINITE_NONNEGATIVE,
      "scenarios.ti_qm.decoherence_time_us"),
@@ -358,7 +430,7 @@ BUILDER_RULES = [
     (storage_residual_channel, "avg_infidelity", RESIDUAL_INFIDELITY,
      "storage.residual_infidelity"),
     (lambda v: effective_depth(PLAN, v, STRENGTHS), "native_d", rules.FINITE_NONNEGATIVE,
-     "pump.native_d.H"),
+     None),
     (lambda v: bootstrap_uncertainty([], v, "fidelity", 0), "n_resamples", BOOTSTRAP_RESAMPLES,
      "pipeline.bootstrap_resamples"),
     (lambda v: emit_entangled_state(IonParams(), v), "t_elapsed_ns", rules.FINITE_NONNEGATIVE,
