@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from operator import itemgetter, sub
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+
+from . import linalg
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -168,12 +169,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         m, tr = _hermitian_with_trace(self.matrix, self.subnormalized)
-        # np.linalg.eigvalsh(m) from numpy's own kernel, without the
-        # wrapper's argument checks: where the wrapper raises LinAlgError,
-        # the kernel returns NaN and raises the invalid flag (the wrapper
-        # ignores the other flags)
-        with np.errstate(all="ignore"):
-            lowest = _umath_linalg.eigvalsh_lo(m, signature="D->d")[0]  # ascending
+        # NaN where np.linalg.eigvalsh(m) would raise LinAlgError
+        lowest = linalg.eigvalsh(m)[0]  # ascending
         if not lowest >= EIG_FLOOR:
             if math.isnan(lowest):
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
-from . import rules
+from . import linalg, rules
 from .photon import dark_noise_admixture
 from .qstate import (
     PAULIS,
+    PAULIS_2Q,
     DensityMatrix,
     Observable,
     StateError,
@@ -56,6 +56,7 @@ class MeasurementSetting:
 
 
 _SETTINGS = tuple(MeasurementSetting(a, b) for a in AXES for b in AXES)
+_SETTINGS_LIST = list(_SETTINGS)
 
 
 def all_settings() -> list[MeasurementSetting]:
@@ -159,13 +160,18 @@ _SETTING_INDEX = {(s.ion_axis, s.photon_axis): k for k, s in enumerate(_SETTINGS
 # out so that (_DESIGN @ rho.ravel()).real are the 36 outcome probabilities
 # (tr(P rho) = sum_ij P_ji rho_ij).
 _DESIGN = _GRID.transpose(0, 1, 3, 2).reshape(36, 16)
-_DESIGN_PINV = np.linalg.pinv(_DESIGN)
+# The same grid in Pauli coordinates, A[n, k] = tr(Pi_n P_k) / 4: for
+# rho = sum_k r_k P_k / 4 (r_k = tr(rho P_k)), A r are the outcome
+# probabilities.
+_PAULI_DESIGN = np.einsum("nij,kji->nk", _GRID.reshape(36, 4, 4), PAULIS_2Q).real / 4
+_PAULIS_FLAT = PAULIS_2Q.reshape(16, 16)
 # A lower-triangular T as 16 reals: the real parts of the entries on and below
 # the diagonal, then the imaginary parts of those below it (flat indices).
 _LOWER = np.ravel_multi_index(np.tril_indices(4), (4, 4))
 _STRICT = np.ravel_multi_index(np.tril_indices(4, -1), (4, 4))
-# Eigenvalue floor of the linear-inversion start, which keeps T at full rank.
+# Eigenvalue floor of the least-squares start, which keeps T at full rank.
 _START_FLOOR = 1e-4
+_FLOOR_EYE = _START_FLOOR * np.eye(4)
 # Largest accepted final gradient norm of the log-likelihood per count, taken
 # at tr(T T^dag) = 1.  Converged fits end at or below _STEP_TOL = 1e-9.
 GRADIENT_TOL = 1e-5
@@ -174,14 +180,22 @@ GRADIENT_TOL = 1e-5
 def _grid_counts(records: list[CountRecord]) -> tuple[np.ndarray, np.ndarray]:
     """Counts (9, 4) and shots (9,) in all_settings() order; repeated
     settings add up."""
-    index = [_SETTING_INDEX[(r.setting.ion_axis, r.setting.photon_axis)] for r in records]
-    seen = set(index)
-    if len(seen) < 9:
-        missing = [key for key, k in _SETTING_INDEX.items() if k not in seen]
-        raise ValueError(f"missing settings: {missing}")
     record_shots = [r.shots for r in records]
+    # records once each in all_settings() order, as simulate_tomography
+    # returns them, are the table's rows
+    in_order = [r.setting for r in records] == _SETTINGS_LIST
+    if not in_order:
+        index = [_SETTING_INDEX[(r.setting.ion_axis, r.setting.photon_axis)] for r in records]
+        seen = set(index)
+        if len(seen) < 9:
+            missing = [key for key, k in _SETTING_INDEX.items() if k not in seen]
+            raise ValueError(f"missing settings: {missing}")
     if not min(record_shots) > 0:
         raise ValueError("every record needs positive shots")
+    if in_order:
+        # + 0.0 turns a -0.0 count into 0.0, as adding it into zeros does
+        return (np.array([r.counts for r in records]) + 0.0,
+                np.array(record_shots, dtype=float))
     # np.add.at adds the records in order, as a loop of += would
     counts, shots = np.zeros((9, 4)), np.zeros(9)
     np.add.at(counts, index, [r.counts for r in records])
@@ -213,7 +227,7 @@ _FORMS = _quadratic_forms()
 _TWICE_FORMS_FLAT = 2 * _FORMS.reshape(36, 256)
 # The same forms as one (576, 16) matrix: M x for all n in one product.
 _FORMS_STACKED = _FORMS.reshape(576, 16)
-# Newton steps before the fit gives up; sampled counts converge in ~7.
+# Newton steps before the fit gives up; sampled counts converge in 1-6.
 MAX_STEPS = 200
 # Stop once the gradient norm per count falls to this.
 _STEP_TOL = 1e-9
@@ -249,28 +263,50 @@ def _backtrack(x: np.ndarray, step: np.ndarray, slope: float, value: float,
     return None
 
 
+def _weighted_fit(freqs: np.ndarray, shots: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Pauli vector r that minimizes sum_n w_n ((A r)_n - f_n)^2 over the
+    frequencies f (9, 4), with w_n = n_s / max(p_n, 1 / (2 n_s)) for the
+    setting's shots n_s (9, 1) and the probabilities p (9, 4): the solution
+    of the 16 x 16 normal equations (A^T W A) r = A^T W f."""
+    aw = _PAULI_DESIGN.T * (shots / np.maximum(probs, 0.5 / shots)).ravel()
+    return linalg.solve(aw @ _PAULI_DESIGN, aw @ freqs.ravel())
+
+
+def _least_squares_state(counts: np.ndarray, shots: np.ndarray) -> np.ndarray:
+    """The Gaussian approximation's estimate of the state behind the counts:
+    Neyman's minimum chi^2 (weights from the frequencies f), refined once
+    with Pearson's (weights from the first pass's probabilities A r_1), as
+    sum_k r_k P_k / (4 r_0), Hermitian with unit trace but not always
+    positive."""
+    n = shots[:, None]
+    freqs = counts / n
+    r = _weighted_fit(freqs, n, freqs)
+    r = _weighted_fit(freqs, n, (_PAULI_DESIGN @ r).reshape(9, 4))
+    return (r @ _PAULIS_FLAT).reshape(4, 4) / (4 * r[0])
+
+
 def _start(rho: np.ndarray) -> np.ndarray:
     """Packed Cholesky factor of rho with its eigenvalues floored at
-    _START_FLOOR, which keeps T at full rank, and rescaled to unit sum."""
-    w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
+    _START_FLOOR, which keeps T at full rank, and rescaled to unit sum.
+    Where the floor binds no eigenvalue (rho - _START_FLOOR I has a Cholesky
+    factor), that is the factor of rho / tr rho, found without eigenvalues."""
+    h = (rho + rho.conj().T) / 2
+    if linalg.cholesky(h - _FLOOR_EYE) is not None:
+        return _pack_lower(linalg.cholesky(h / h.trace().real))
+    w, v = np.linalg.eigh(h)
     w = np.maximum(w, _START_FLOOR)
     return _pack_lower(np.linalg.cholesky((v * (w / w.sum())) @ v.conj().T))
 
 
-# The Newton step calls numpy.linalg's own Cholesky and LU-solve kernels
-# without the public wrappers, whose argument checks and error-state set-up
-# cost ~3 us a call, a tenth of a step; the results are the same bits.
 def _cholesky_fails(a: np.ndarray) -> bool:
     """Whether np.linalg.cholesky(a) would raise LinAlgError for a real
-    symmetric ``a``: the kernel then fills its result with NaN and raises the
-    invalid flag."""
-    with np.errstate(invalid="ignore"):
-        return math.isnan(_umath_linalg.cholesky_lo(a, signature="d->d")[-1, -1])
+    symmetric ``a``."""
+    return linalg.cholesky(a) is None
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.linalg.solve(a, b) for a real nonsingular a and a vector b."""
-    return _umath_linalg.solve1(a, b, signature="dd->d")
+    return linalg.solve(a, b)
 
 
 def _newton(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]:
@@ -318,9 +354,13 @@ def mle_reconstruct(records: list[CountRecord]) -> DensityMatrix:
     closed-form gradient g and Hessian H.  f does not change when x is
     rescaled, so H x = -g and H has a negative eigenvalue at every point
     short of the optimum; the steps therefore run on the unit sphere
-    (Absil, Mahony & Sepulchre, 2008).  From the linear-inversion start,
-    with its eigenvalues clipped to a small floor, each step is a damped
-    Newton step on the tangent space, with the Hessian
+    (Absil, Mahony & Sepulchre, 2008).  They start from the likelihood's
+    Gaussian approximation: a weighted least-squares fit of the Pauli
+    expectations to the frequencies, with Neyman's weights and then once
+    with Pearson's (Neyman, Proc. 1st Berkeley Symp., 239, 1949), its
+    eigenvalues clipped to a small floor where one falls under it; on
+    bright counts that start lies one step from the optimum.  Each step is
+    a damped Newton step on the tangent space, with the Hessian
     H_t = P H P + x x^T (P = I - x x^T): d = -(H_t + 0.1 |g| I)^-1 g when a
     Cholesky factorization shows H_t positive definite (most steps), and
     otherwise the saddle-free step d = -V diag(1 / (|lambda| + 0.1 |g|)) V^T g
@@ -334,10 +374,14 @@ def mle_reconstruct(records: list[CountRecord]) -> DensityMatrix:
     is not finite or its final gradient norm per count still exceeds
     ``GRADIENT_TOL``.
     """
-    counts, shots = _grid_counts(records)
+    return _fit(*_grid_counts(records))
+
+
+def _fit(counts: np.ndarray, shots: np.ndarray) -> DensityMatrix:
+    """mle_reconstruct of the counts (9, 4) and shots (9,) of the grid, in
+    all_settings() order."""
     weights = counts.ravel() / counts.sum()
-    rho = (_DESIGN_PINV @ (counts / shots[:, None]).ravel()).reshape(4, 4)
-    x, grad_norm = _newton(_start(rho), weights)
+    x, grad_norm = _newton(_start(_least_squares_state(counts, shots)), weights)
     if grad_norm > _STEP_TOL:
         t = _unpack_lower(x)
         x, grad_norm = _newton(_start(t @ t.conj().T), weights)

@@ -207,6 +207,31 @@ class TestMle:
                  + [CountRecord(whole.setting, rest, sum(rest))])
         assert mle_reconstruct(split).matrix.tobytes() == expected
 
+    def test_in_order_table_is_the_sum_of_its_records(self):
+        # the in-order fast path and the general path give the bytes a loop
+        # of += into zeros gives: sampled, fractional and -0.0 counts, in
+        # order, shuffled, and with a setting split across two records
+        sampled = simulate_tomography(werner(0.85), 200, 28.0, child_rng(12, "grid"))
+        exact = records_from_probabilities(werner(0.3), 7.5)
+        signed = [CountRecord(s, (3.0, -0.0, 0.0, 1.0), 4) for s in all_settings()]
+        whole = sampled[4]
+        half = tuple(c // 2 for c in whole.counts)
+        rest = tuple(c - h for c, h in zip(whole.counts, half))
+        split = (sampled[:4] + [CountRecord(whole.setting, half, sum(half))] + sampled[5:]
+                 + [CountRecord(whole.setting, rest, sum(rest))])
+        shuffle = np.random.default_rng(3).permutation
+        for recs in (sampled, exact, signed, split,
+                     [sampled[k] for k in shuffle(9)], [signed[k] for k in shuffle(9)]):
+            counts, shots = np.zeros((9, 4)), np.zeros(9)
+            for r in recs:
+                k = all_settings().index(r.setting)
+                counts[k] += r.counts
+                shots[k] += r.shots
+            got = tomography._grid_counts(recs)
+            assert [a.tobytes() for a in got] == [counts.tobytes(), shots.tobytes()]
+        with pytest.raises(ValueError, match="positive shots"):
+            tomography._grid_counts(sampled[:8] + [CountRecord(sampled[8].setting, (0,) * 4, 0)])
+
     def test_missing_setting_rejected(self):
         recs = records_from_probabilities(werner(0.5))[:-1]
         with pytest.raises(ValueError, match="missing settings"):
@@ -228,7 +253,7 @@ class TestMle:
 
     def test_unconverged_fit_raises(self, monkeypatch):
         # a fit allowed no steps stops where it started, at the gradient of the
-        # linear-inversion start, which is far from zero on sampled counts
+        # least-squares start, which is far from zero on these low counts
         monkeypatch.setattr(tomography, "MAX_STEPS", 0)
         recs = simulate_tomography(werner(0.85), 200, 28.0, child_rng(10, "stall"))
         with pytest.raises(NonConvergenceError) as err:
@@ -255,8 +280,37 @@ class TestMle:
             recs = simulate_tomography(state, shots, snr, child_rng(i, scenario))
             assert_optimal(recs, mle_reconstruct(recs).matrix, source)
         assert branches["cholesky"] > 0
-        if scenario != "bell":  # the Bell fits here take Cholesky steps only
+        # from the least-squares start only the ti_qm fits here meet an
+        # indefinite tangent Hessian; test_saddle_free_step_reaches_the_optimum
+        # drives the eigen step from a start far from the optimum
+        if scenario == "ti_qm":
             assert branches["eigen"] > 0
+
+    def test_saddle_free_step_reaches_the_optimum(self, monkeypatch):
+        # Newton from the Bell state orthogonal to the one the counts come
+        # from, where the tangent Hessian has a negative eigenvalue, ends at
+        # the fit's own optimum
+        recs = simulate_tomography(werner(0.9), 500, None, child_rng(5, "indefinite"))
+        counts, shots = tomography._grid_counts(recs)
+        expected = tomography._fit(counts, shots).matrix
+        lowest = []
+        cholesky_fails = tomography._cholesky_fails
+
+        def recorded_cholesky_fails(a):
+            lowest.append(np.linalg.eigvalsh(a)[0])
+            return cholesky_fails(a)
+
+        monkeypatch.setattr(tomography, "_cholesky_fails", recorded_cholesky_fails)
+        branches = count_step_branches(monkeypatch)
+        x, grad_norm = tomography._newton(
+            tomography._start(bell_state(math.pi).density().matrix),
+            counts.ravel() / counts.sum())
+        assert lowest[0] < 0
+        assert branches["eigen"] > 0 and branches["cholesky"] > 0
+        assert grad_norm <= tomography._STEP_TOL
+        t = tomography._unpack_lower(x)
+        assert_optimal(recs, t @ t.conj().T, werner(0.9).matrix)
+        assert np.max(np.abs(t @ t.conj().T - expected)) < 1e-9
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 300), min_size=4, max_size=4)
@@ -325,6 +379,50 @@ class TestMle:
             assert_optimal(recs, mle_reconstruct(recs).matrix,
                            dark_noise_admixture(state, snr).matrix)
             assert len(calls) == 2
+
+    @pytest.mark.parametrize("scenario, most", [("ion_photon", 3), ("ti_qm", 7),
+                                                ("post_qfc", 7)])
+    def test_median_fit_evaluations(self, scenario, most, monkeypatch):
+        # the least-squares start leaves a median of 2, 6 and 6 evaluations of
+        # the likelihood per fit (the start's and one per Newton trial) on
+        # fresh datasets of the published scenarios
+        cfg = ExperimentConfig.defaults(scenario)
+        sec = cfg.scenario_section()
+        state, _, _ = analytic_pipeline_state(cfg, scenario)
+        shots = {(s.ion_axis, s.photon_axis): n
+                 for s, n in zip(all_settings(), split_heralds(sec[BUDGET_KEYS[scenario]]))}
+        calls = []
+        evaluate = tomography._evaluate
+        monkeypatch.setattr(tomography, "_evaluate",
+                            lambda x, w: calls.append(1) or evaluate(x, w))
+        per_fit = []
+        for i in range(50):
+            recs = simulate_tomography(state, shots, sec["snr"], child_rng(i, "tomography"))
+            calls.clear()
+            mle_reconstruct(recs)
+            per_fit.append(len(calls))
+        assert np.median(per_fit) <= most
+
+    def test_least_squares_start_is_exact_on_exact_probabilities(self):
+        # the weighted fit of noiseless frequencies returns their state
+        rng = np.random.default_rng(41)
+        for shots in (1.0, 2000.0):
+            rho = random_state(rng)
+            recs = records_from_probabilities(rho, shots)
+            counts, grid_shots = tomography._grid_counts(recs)
+            start = tomography._least_squares_state(counts, grid_shots)
+            assert np.max(np.abs(start - rho.matrix)) < 1e-12
+
+    def test_start_above_the_floor_skips_the_eigenvalues(self, monkeypatch):
+        # where no eigenvalue is under _START_FLOOR the start is the Cholesky
+        # factor of rho / tr rho, which flooring the eigenvalues reaches too
+        rho = 2 * werner(0.7).matrix
+        w, v = np.linalg.eigh(rho)
+        floored = np.linalg.cholesky((v * (w / w.sum())) @ v.conj().T)
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        t = tomography._unpack_lower(tomography._start(rho))
+        assert np.array_equal(t, np.linalg.cholesky(rho / np.trace(rho).real))
+        assert np.max(np.abs(t - floored)) < 1e-14
 
     def test_start_is_full_rank_cholesky_factor(self):
         # a rank-1 input (the Bell state) floored to full rank at unit trace
@@ -588,6 +686,20 @@ class TestBootstrap:
         recs = records_from_probabilities(werner(0.5))
         with pytest.raises(ValueError):
             bootstrap_uncertainty(recs, 50, "fidelity", 1)
+
+    def test_fit_of_a_draw_is_the_fit_of_its_records(self):
+        # a resample's (9, 4) draw fitted directly gives the bits that its
+        # nine records give through mle_reconstruct
+        recs = simulate_tomography(werner(0.85), 200, 28.0, child_rng(9, "draws"))
+        shots = [int(r.shots) for r in recs]
+        freqs = np.array([r.counts for r in recs]) / np.array(shots)[:, None]
+        rng = as_rng(6)
+        for _ in range(20):
+            draws = rng.multinomial(shots, freqs)
+            direct = tomography._fit(draws.astype(float), np.array(shots, dtype=float))
+            records = [CountRecord(r.setting, tuple(row), n)
+                       for r, row, n in zip(recs, draws.tolist(), shots)]
+            assert direct.matrix.tobytes() == mle_reconstruct(records).matrix.tobytes()
 
     def test_deterministic_per_seed(self):
         recs = simulate_tomography(werner(0.85), 500, 28.0, child_rng(8, "e"))
