@@ -7,8 +7,6 @@ multiplicatively (product).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -130,34 +128,3 @@ def snr_and_noise_rate(signal_rate_hz: float, noise_rate_hz: float) -> tuple[flo
         return math.inf, 0.0
     snr = signal_rate_hz / noise_rate_hz
     return snr, 1.0 / (snr + 1.0)
-
-
-# ---------------------------------------------------------------------------
-# CSV report layouts
-
-
-def _csv(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
-def error_budget_csv(sources) -> str:
-    """Ledger table: one row per source plus the first-order (summed) total."""
-    return _csv([["error_source", "infidelity_percent", "model_ref"],
-                 *([s.name, f"{s.infidelity * 100:.6g}", s.model_ref or ""] for s in sources),
-                 ["total", f"{total_infidelity(sources) * 100:.6g}", "sum"]])
-
-
-def stage_table_csv(stages) -> str:
-    """Efficiency table with per-polarization columns and the overall product."""
-    return _csv([["stage", "efficiency_H_percent", "efficiency_V_percent"],
-                 *([s.name, f"{s.resolved('H') * 100:.6g}", f"{s.resolved('V') * 100:.6g}"]
-                   for s in stages),
-                 ["overall", f"{end_to_end_efficiency(stages, 'H') * 100:.6g}",
-                  f"{end_to_end_efficiency(stages, 'V') * 100:.6g}"]])
-
-
-def rate_table_csv(chains_with_rates) -> str:
-    return _csv([["chain", "rate_hz"],
-                 *([name, f"{value:.6g}"] for name, value in chains_with_rates)])

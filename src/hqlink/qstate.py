@@ -411,27 +411,3 @@ def bitflip_channel(prob: float, subsystem: int | None = None) -> QuantumChannel
     x = X if subsystem is None else embed_single_qubit(X, subsystem)
     eye = np.eye(x.shape[0], dtype=complex)
     return QuantumChannel((np.sqrt(1 - prob) * eye, np.sqrt(prob) * x))
-
-
-# ---------------------------------------------------------------------------
-# serialization: {dim, re, im} with row-major arrays, shared by CLI reports
-# and golden-file tests
-
-
-def matrix_to_json_dict(m: np.ndarray) -> dict:
-    """{dim, re, im}, every entry rounded as round15 does, all in one
-    "%.15g" formatting pass."""
-    a = np.asarray(m, dtype=complex)
-    n = a.size
-    rounded = round15_all(np.concatenate((a.real.reshape(-1), a.imag.reshape(-1))).tolist())
-    return {"dim": a.shape[0], "re": rounded[:n], "im": rounded[n:]}
-
-
-def round15(x: float) -> float:
-    # fixed 15-significant-digit round-trip keeps reports byte-stable
-    return float(f"{float(x):.15g}")
-
-
-def round15_all(values: list) -> list[float]:
-    """round15 of each value, in one "%.15g" formatting pass."""
-    return list(map(float, ("%.15g " * len(values) % tuple(values)).split()))

@@ -27,13 +27,7 @@ from . import memory, qstate, rules, tomography
 from .config import BUDGET_KEYS, ExperimentConfig, error_budget_rows, rate_chains
 from .ion import decoherence_coherence, emit_entangled_state
 from .photon import PBS_EXTINCTION, dark_noise_admixture, jitter_coherence
-from .qstate import (
-    bell_state,
-    fidelity,
-    matrix_to_json_dict,
-    round15,
-    werner,
-)
+from .qstate import bell_state, fidelity, werner
 from .rng import child_rng
 from .tomography import ChshSettings, bootstrap_uncertainty, mle_reconstruct
 
@@ -272,7 +266,62 @@ def _run_bandwidth_sweep(cfg: ExperimentConfig) -> RunReport:
 
 
 # ---------------------------------------------------------------------------
-# report emission
+# report text: every report file is built here, its JSON by _json_text and
+# its CSV by _csv
+
+
+def round15(x: float) -> float:
+    # fixed 15-significant-digit round-trip keeps reports byte-stable
+    return float(f"{float(x):.15g}")
+
+
+def round15_all(values: list) -> list[float]:
+    """round15 of each value, in one "%.15g" formatting pass."""
+    return list(map(float, ("%.15g " * len(values) % tuple(values)).split()))
+
+
+def matrix_to_json_dict(m: np.ndarray) -> dict:
+    """{dim, re, im} with row-major arrays, every entry rounded as round15
+    does, all in one "%.15g" formatting pass."""
+    a = np.asarray(m, dtype=complex)
+    n = a.size
+    rounded = round15_all(np.concatenate((a.real.reshape(-1), a.imag.reshape(-1))).tolist())
+    return {"dim": a.shape[0], "re": rounded[:n], "im": rounded[n:]}
+
+
+def _csv(rows) -> str:
+    """Fields joined by "," and each row ended by "\n".  This is the text of
+    csv.writer(lineterminator="\n") wherever no field holds ",", '"', "\r"
+    or "\n" and no row is one empty field, as in every report table."""
+    return "".join([",".join(row) + "\n" for row in rows])
+
+
+def error_budget_csv(sources) -> str:
+    """Ledger table: one row per source plus the first-order (summed) total."""
+    return _csv([("error_source", "infidelity_percent", "model_ref"),
+                 *((s.name, f"{s.infidelity * 100:.6g}", s.model_ref or "") for s in sources),
+                 ("total", f"{bd.total_infidelity(sources) * 100:.6g}", "sum")])
+
+
+def stage_table_csv(stages) -> str:
+    """Efficiency table with per-polarization columns and the overall product."""
+    return _csv([("stage", "efficiency_H_percent", "efficiency_V_percent"),
+                 *((s.name, f"{s.resolved('H') * 100:.6g}", f"{s.resolved('V') * 100:.6g}")
+                   for s in stages),
+                 ("overall", f"{bd.end_to_end_efficiency(stages, 'H') * 100:.6g}",
+                  f"{bd.end_to_end_efficiency(stages, 'V') * 100:.6g}")])
+
+
+def rate_table_csv(chains_with_rates) -> str:
+    return _csv([("chain", "rate_hz"),
+                 *((name, f"{value:.6g}") for name, value in chains_with_rates)])
+
+
+def records_to_csv(records: list[tomography.CountRecord]) -> str:
+    """CSV export: setting_ion, setting_photon, n_pp, n_pm, n_mp, n_mm."""
+    return _csv([("setting_ion", "setting_photon", "n_pp", "n_pm", "n_mp", "n_mm"),
+                 *((r.setting.ion_axis, r.setting.photon_axis, *[f"{c:.15g}" for c in r.counts])
+                   for r in records)])
 
 
 def _write(path: Path, text: str) -> Path:
@@ -288,26 +337,14 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
-def _matrix_json(matrix: dict) -> str:
-    """json.dumps(matrix, indent=2, sort_keys=True) of a {dim, re, im}
-    document.  indent= makes json fall back to its pure-Python encoder, so
-    the two float lists go through the C encoder in one call and are then
-    laid out one entry per line (no float's text holds "," or "]")."""
-    im, re = json.dumps((matrix["im"], matrix["re"]))[2:-2].split("], [")
-
-    def column(text: str) -> str:
-        return "[\n    " + text.replace(", ", ",\n    ") + "\n  ]" if text else "[]"
-    return (f'{{\n  "dim": {matrix["dim"]},\n  "im": {column(im)},'
-            f'\n  "re": {column(re)}\n}}')
-
-
 def _json_text(value, newline: str = "\n") -> str:
     """json.dumps(value, indent=2, sort_keys=True) of a tree with str keys,
     at the nesting whose line break and indent is ``newline``.  The indent=
     path of json is its pure-Python encoder; this one calls a function per
-    value, not a generator per container.  A value json cannot encode, and
-    a key that is not a str, raise TypeError; a circular tree raises
-    RecursionError."""
+    value, not a generator per container, and a non-empty list of floats
+    only goes through json's C encoder in one call (no float's text holds
+    ", ").  A value json cannot encode, and a key that is not a str, raise
+    TypeError; a circular tree raises RecursionError."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -330,7 +367,10 @@ def _json_text(value, newline: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [_json_text(v, inner) for v in value]
+        if {*map(type, value)} == {float}:
+            items = json.dumps(value)[1:-1].split(", ")
+        else:
+            items = [_json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, dict):
         if not value:
@@ -360,7 +400,7 @@ def emit_report(report: RunReport, out_dir: str | Path, fmt: str = "json") -> li
     if matrix is not None:
         # the matrix is encoded once; in the summary it sits one level deeper,
         # on the top-level "matrix" line (two spaces: no nested key matches)
-        matrix_text = _matrix_json(matrix)
+        matrix_text = _json_text(matrix)
         text = text.replace('\n  "matrix": null,\n',
                             '\n  "matrix": ' + matrix_text.replace("\n", "\n  ") + ",\n", 1)
     written = [_write(out / f"{stem}_summary.json", text)]
@@ -369,22 +409,20 @@ def emit_report(report: RunReport, out_dir: str | Path, fmt: str = "json") -> li
         written.append(_write(out / f"{stem}_matrix.json", matrix_text + "\n"))
     if report.budget_rows:
         written.append(_write(out / f"{stem}_error_budget.csv",
-                              bd.error_budget_csv(report.budget_rows)))
+                              error_budget_csv(report.budget_rows)))
     if report.stage_table:
-        written.append(_write(out / f"{stem}_stages.csv", bd.stage_table_csv(report.stage_table)))
+        written.append(_write(out / f"{stem}_stages.csv", stage_table_csv(report.stage_table)))
     if report.rate_table:
-        written.append(_write(out / f"{stem}_rates.csv", bd.rate_table_csv(report.rate_table)))
+        written.append(_write(out / f"{stem}_rates.csv", rate_table_csv(report.rate_table)))
     if report.sweep:
-        row = ",".join(["%.15g"] * len(report.sweep_columns)) + "\n"
-        written.append(_write(out / f"{stem}_sweep.csv", ",".join(report.sweep_columns) + "\n"
-                              + "".join([row % values for values in report.sweep])))
+        written.append(_write(out / f"{stem}_sweep.csv", _csv(
+            [report.sweep_columns, *([f"{v:.15g}" for v in values] for values in report.sweep)])))
     if report.counts_records:
-        written.append(_write(out / f"{stem}_counts.csv",
-                              tomography.records_to_csv(report.counts_records)))
+        written.append(_write(out / f"{stem}_counts.csv", records_to_csv(report.counts_records)))
     if fmt == "csv":
-        lines = ["statistic,value,stddev_or_exact"]
-        for name, entry in sorted(report.statistics.items()):
-            tag = "exact" if entry.get("exact") else f"{entry.get('stddev'):.15g}"
-            lines.append(f"{name},{entry['value']:.15g},{tag}")
-        written.append(_write(out / f"{stem}_summary.csv", "\n".join(lines) + "\n"))
+        written.append(_write(out / f"{stem}_summary.csv", _csv(
+            [("statistic", "value", "stddev_or_exact"),
+             *((name, f"{entry['value']:.15g}",
+                "exact" if entry.get("exact") else f"{entry.get('stddev'):.15g}")
+               for name, entry in sorted(report.statistics.items()))])))
     return written

@@ -403,13 +403,6 @@ def records_from_probabilities(rho: DensityMatrix, shots: float = 1.0,
     return out
 
 
-def records_to_csv(records: list[CountRecord]) -> str:
-    """CSV export: setting_ion, setting_photon, n_pp, n_pm, n_mp, n_mm."""
-    return "setting_ion,setting_photon,n_pp,n_pm,n_mp,n_mm\n" + "".join([
-        "%s,%s,%.15g,%.15g,%.15g,%.15g\n" % (r.setting.ion_axis, r.setting.photon_axis, *r.counts)
-        for r in records])
-
-
 # ---------------------------------------------------------------------------
 # CHSH
 
@@ -497,7 +490,14 @@ def simulate_chsh(rho: DensityMatrix, s: ChshSettings, shots_total: int,
                   snr: float | None, rng_seed) -> tuple[float, float]:
     """Sampled CHSH value and its standard error, shots split over 4 settings:
     one multinomial draw per setting, in order, over the outcome
-    probabilities u_j^dag rho u_j (real parts, clipped at 0) of its ChshTerm."""
+    probabilities u_j^dag rho u_j (real parts, clipped at 0) of its ChshTerm.
+
+    The counts depend on the last bit of an outcome probability wherever a
+    conditional probability of the multinomial draw is 1/2, as on the Werner
+    state the chsh scenario samples: numpy draws n - B(n, 1 - p) for p > 1/2,
+    so probabilities one ulp apart can swap two counts (a sampled S of 1.816
+    against 1.854 at seed 0).  A change to how the probabilities are summed
+    can therefore move a sampled S."""
     rng = as_rng(rng_seed)
     shots_each = split_heralds(shots_total, 4)
     state = _with_dark_noise(rho, snr).matrix
@@ -526,7 +526,9 @@ def bootstrap_uncertainty(records: list[CountRecord], n_resamples: int,
                           statistic: str, rng_seed) -> tuple[float, float]:
     """Multinomial-resampling error bar for a tomography statistic.
 
-    ``statistic`` is "fidelity", against the phase-zero target.  Returns
+    ``statistic`` is "fidelity", against the phase-zero target.  Every
+    record's counts and shots must be whole numbers, as sampled ones are: a
+    record of exact probabilities holds no sample to resample.  Returns
     (mean, sample stddev) over the resampled estimates; deterministic per
     seed.
     """
@@ -535,9 +537,14 @@ def bootstrap_uncertainty(records: list[CountRecord], n_resamples: int,
         raise ValueError(f"unknown statistic {statistic!r}")
     if any(r.shots <= 0 for r in records):
         raise ValueError("degenerate record with zero shots")
+    for r in records:
+        if not all(float(n).is_integer() for n in (*r.counts, r.shots)):
+            raise ValueError(f"setting {r.setting.ion_axis}{r.setting.photon_axis}: the "
+                             f"bootstrap resamples whole counts, got {r.counts} of "
+                             f"{r.shots} shots")
     target = bell_state(0.0)
     rng = as_rng(rng_seed)
-    shots = [int(round(r.shots)) for r in records]
+    shots = [int(r.shots) for r in records]
     freqs = np.array([r.counts for r in records]) / np.array([r.shots for r in records])[:, None]
     estimates = np.empty(n_resamples)
     for i in range(n_resamples):

@@ -10,15 +10,17 @@ from hqlink.budget import (
     ErrorSource,
     RateChain,
     end_to_end_efficiency,
-    error_budget_csv,
     rate,
-    rate_table_csv,
     snr_and_noise_rate,
-    stage_table_csv,
     total_infidelity,
 )
 from hqlink.config import ExperimentConfig, error_budget_rows, rate_chains
-from hqlink.scenarios import analytic_fidelity
+from hqlink.scenarios import (
+    analytic_fidelity,
+    error_budget_csv,
+    rate_table_csv,
+    stage_table_csv,
+)
 
 CFG = ExperimentConfig.defaults("budget")
 TABLES = rate_chains(CFG)

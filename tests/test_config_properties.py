@@ -60,13 +60,13 @@ from hqlink.scenarios import (
     analytic_pipeline_state,
     emit_report,
     pipeline_stages,
+    records_to_csv,
     run,
 )
 from hqlink.tomography import (
     BOOTSTRAP_RESAMPLES,
     all_settings,
     bootstrap_uncertainty,
-    records_to_csv,
     simulate_tomography,
     split_heralds,
 )

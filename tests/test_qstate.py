@@ -26,14 +26,13 @@ from hqlink.qstate import (
     fidelity,
     identity_channel,
     kron,
-    matrix_to_json_dict,
     maximally_mixed,
-    round15,
-    round15_all,
     trace_distance,
     werner,
     white_noise_channel,
 )
+from hqlink.scenarios import matrix_to_json_dict, round15, round15_all
+
 
 RNG = np.random.default_rng(20260810)
 

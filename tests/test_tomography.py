@@ -27,7 +27,7 @@ from hqlink.qstate import (
     werner,
 )
 from hqlink.rng import as_rng, child_rng
-from hqlink.scenarios import analytic_pipeline_state
+from hqlink.scenarios import analytic_pipeline_state, records_to_csv
 from hqlink.tomography import (
     ChshSettings,
     CountRecord,
@@ -39,7 +39,6 @@ from hqlink.tomography import (
     chsh,
     mle_reconstruct,
     records_from_probabilities,
-    records_to_csv,
     setting_projectors,
     simulate_chsh,
     simulate_tomography,
@@ -681,6 +680,23 @@ class TestBootstrap:
         broken = recs[:-1] + [CountRecord(recs[-1].setting, (0, 0, 0, 0), 0)]
         with pytest.raises(ValueError):
             bootstrap_uncertainty(broken, 100, "fidelity", 1)
+
+    @pytest.mark.parametrize("shots", [0.4, 1.0])
+    def test_exact_probability_records_rejected(self, shots):
+        # such records hold no sample: at 0.4 shots each resample drew 0
+        # shots per setting, at 1.0 one count (mean fidelity 0.496 for 0.85)
+        recs = records_from_probabilities(werner(0.8), shots)
+        first = recs[0].setting.ion_axis + recs[0].setting.photon_axis
+        with pytest.raises(ValueError, match=f"setting {first}: the bootstrap resamples "
+                                             "whole counts"):
+            bootstrap_uncertainty(recs, 100, "fidelity", 1)
+
+    def test_the_record_with_fractional_counts_is_named(self):
+        recs = simulate_tomography(werner(0.85), 200, 28.0, child_rng(9, "draws"))
+        recs[4] = CountRecord(MeasurementSetting("X", "Y"), (0.5, 0.5, 1, 20), 22)
+        with pytest.raises(ValueError, match=r"setting XY: .* got \(0\.5, 0\.5, 1\.0, 20\.0\) "
+                                             "of 22 shots"):
+            bootstrap_uncertainty(recs, 100, "fidelity", 1)
 
     def test_too_few_resamples_rejected(self):
         recs = records_from_probabilities(werner(0.5))
