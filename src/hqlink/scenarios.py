@@ -341,10 +341,10 @@ def _json_text(value, newline: str = "\n") -> str:
     """json.dumps(value, indent=2, sort_keys=True) of a tree with str keys,
     at the nesting whose line break and indent is ``newline``.  The indent=
     path of json is its pure-Python encoder; this one calls a function per
-    value, not a generator per container, and a non-empty list of floats
-    only goes through json's C encoder in one call (no float's text holds
-    ", ").  A value json cannot encode, and a key that is not a str, raise
-    TypeError; a circular tree raises RecursionError."""
+    value, not a generator per container, and hands a non-empty list whose
+    items are all floats to json's C encoder in one call (no float's text
+    holds ", ").  A value json cannot encode, and a key that is not a str,
+    raise TypeError; a circular tree raises RecursionError."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:

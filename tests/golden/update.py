@@ -2,9 +2,11 @@
 
     PYTHONPATH=src python tests/golden/update.py
 
-run from the root of the repository (or with hqlink installed) writes the csv-format reports (``hqlink --scenario <s> --seed <n> --format
-csv``) of every scenario at each seed of ``SEEDS`` into tests/golden/reports/,
-and the numpy version and BLAS that made them into tests/golden/environment.json.
+run from the root of the repository (or with hqlink installed) writes the
+csv-format reports (``hqlink --scenario <s> --seed <n> --format csv``) of
+every scenario at each seed of ``SEEDS`` into tests/golden/reports/, and the
+numpy version, BLAS and CPU extensions that made them into
+tests/golden/environment.json.
 Run it only in a change that means to move a report; its diff shows each move.
 """
 
