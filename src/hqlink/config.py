@@ -21,7 +21,7 @@ from . import rules
 from .budget import EfficiencyStage, ErrorSource, RateChain
 from .ion import DECOHERENCE_EXPONENT, IonParams, decoherence_infidelity
 from .memory import RESIDUAL_INFIDELITY, CombParams, SpectralModel
-from .photon import PBS_EXTINCTION, JitterParams, jitter_infidelity
+from .photon import PBS_EXTINCTION, SNR, JitterParams, jitter_infidelity
 from .tomography import BOOTSTRAP_RESAMPLES
 
 SCENARIOS = ("ion_photon", "post_qfc", "ti_qm", "chsh", "budget", "afc_sweep",
@@ -59,6 +59,9 @@ PUMP_TARGET_MHZ = (224.5, 272.7)
 PUMP_BROADENING_MHZ = 497.2
 PUMP_NATIVE_D = {"H": 5.24, "V": 4.66}
 PUMP_PARTIAL_WEIGHT = 0.5
+# The comb's published tooth spacing (MHz).  No report reads it: it
+# cross-checks comb.finesse against delta / gamma_comb.
+COMB_DELTA_MHZ = 2.0
 
 
 class ConfigError(ValueError):
@@ -80,7 +83,7 @@ def default_config_dict() -> dict:
         "ion": {"zeeman_frequency_mhz": 11.22, "coherence_time_tau_ms": 0.989},
         "jitter": {"awg_rms_ns": 0.305, "transceiver_rms_ns": 0.056},
         "noise": {"pbs_extinction": 3500.0},
-        "comb": {"d": 10.5, "gamma_comb_khz": 259.8, "delta_mhz": 2.0, "finesse": 7.7},
+        "comb": {"d": 10.5, "gamma_comb_khz": 259.8, "finesse": 7.7},
         "spectral": {"gamma_natural_mhz": 19.6, "qm_bandwidth_mhz": 48.2},
         "storage": {
             "eta_internal_h": 0.310,
@@ -126,7 +129,8 @@ def default_config_dict() -> dict:
             "ion_photon": {"shots": 62723, "snr": 1800.0, "decoherence_time_us": 1.01},
             "post_qfc": {"shots": 2714, "snr": 19.5, "decoherence_time_us": 2.17},
             "ti_qm": {"heralds": 1780, "snr": 28.0, "decoherence_time_us": 3.17},
-            "chsh": {"trials": 3634, "snr": 28.0, "decoherence_time_us": 3.17},
+            # chsh samples the ti_qm link, at its SNR and storage time
+            "chsh": {"trials": 3634},
             "afc_sweep": {"t_start_ns": 500.0, "t_stop_ns": 5000.0, "points": 46},
             "bandwidth_sweep": {"df_start_mhz": -60.0, "df_stop_mhz": 60.0, "points": 121},
         },
@@ -170,7 +174,7 @@ FIELD_RULES = {
     "scenarios.*.shots": rules.integer_from(9),
     "scenarios.ti_qm.heralds": rules.integer_from(9),
     "scenarios.chsh.trials": rules.integer_from(4),
-    "scenarios.*.snr": rules.above(0),  # inf: no dark noise
+    "scenarios.*.snr": SNR,  # photon.dark_noise_admixture
     "scenarios.*.decoherence_time_us": rules.FINITE_NONNEGATIVE,  # ion.decoherence_channel
     "scenarios.*.points": rules.integer_from(2),
     "scenarios.afc_sweep.t_start_ns": rules.FINITE_NONNEGATIVE,
@@ -232,7 +236,8 @@ class ExperimentConfig:
         # the one dataclass that checks its fields against each other
         if not any(p.startswith(("comb.", "spectral.qm_bandwidth_mhz")) for p in rejected):
             try:
-                comb = CombParams(bandwidth_mhz=cfg["spectral"]["qm_bandwidth_mhz"],
+                comb = CombParams(delta_mhz=COMB_DELTA_MHZ,
+                                  bandwidth_mhz=cfg["spectral"]["qm_bandwidth_mhz"],
                                   **cfg["comb"])
             except ValueError as exc:
                 errors.append(f"comb: {exc}")

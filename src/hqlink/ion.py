@@ -1,9 +1,9 @@
 """Trapped-ion node: entangled emission and ion-qubit decoherence.
 
 The ion emits a photon whose polarization is entangled with two Zeeman
-sublevels split by omega = 2 pi x 11.22 MHz; the relative phase of the pair
-advances at omega until the readout pulse, and the experiment cancels it with
-a microwave phase offset.
+sublevels split by omega = 2 pi x ``ion.zeeman_frequency_mhz`` of the config;
+the relative phase of the pair advances at omega until the readout pulse, and
+the experiment cancels it with a microwave phase offset.
 
 The SPAM error and the pi-pulse excitation probability enter as measured
 values (``pipeline.spam_error``, ``rates.p_pi``), not from a readout or
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from . import rules
 from .qstate import PureState, QuantumChannel, bell_state, dephasing_channel
 
-ZEEMAN_OMEGA_DEFAULT = 2 * math.pi * 11.22e6  # rad/s
 # the exponent a of the coherence decay exp(-(t/tau)^a)
 DECOHERENCE_EXPONENT = rules.closed(1, 3)
 
@@ -27,8 +26,8 @@ DECOHERENCE_EXPONENT = rules.closed(1, 3)
 class IonParams(rules.CheckedFields):
     """Physical parameters of the ion qubit and its emission."""
 
-    zeeman_omega: float = ZEEMAN_OMEGA_DEFAULT  # rad/s
-    coherence_time_tau_ms: float = 0.989
+    zeeman_omega: float  # rad/s
+    coherence_time_tau_ms: float
 
     RULES = {"zeeman_omega": rules.FINITE_NONNEGATIVE,
              "coherence_time_tau_ms": rules.above(0)}  # inf: no decoherence
@@ -46,7 +45,7 @@ def emit_entangled_state(params: IonParams, t_elapsed_ns: float,
     return bell_state(params.zeeman_omega * t_elapsed_ns * 1e-9 - phi_comp)
 
 
-def decoherence_coherence(params: IonParams, t_us: float, exponent_a: float = 2.0) -> float:
+def decoherence_coherence(params: IonParams, t_us: float, exponent_a: float) -> float:
     """exp(-(t/tau)^a), the ion qubit's coherence after t microseconds of free
     evolution; the Bell-state fidelity of its dephasing is (1 + coherence)/2."""
     rules.check("t_us", rules.FINITE_NONNEGATIVE, t_us)
@@ -54,11 +53,11 @@ def decoherence_coherence(params: IonParams, t_us: float, exponent_a: float = 2.
     return math.exp(-((t_us / (params.coherence_time_tau_ms * 1e3)) ** exponent_a))
 
 
-def decoherence_channel(params: IonParams, t_us: float, exponent_a: float = 2.0) -> QuantumChannel:
+def decoherence_channel(params: IonParams, t_us: float, exponent_a: float) -> QuantumChannel:
     """Ion-qubit dephasing after t microseconds of free evolution."""
     return dephasing_channel(decoherence_coherence(params, t_us, exponent_a), subsystem=0)
 
 
-def decoherence_infidelity(params: IonParams, t_us: float, exponent_a: float = 2.0) -> float:
+def decoherence_infidelity(params: IonParams, t_us: float, exponent_a: float) -> float:
     """(1 - exp(-(t/tau)^a)) / 2, the Bell-state infidelity of the channel."""
     return (1 - decoherence_coherence(params, t_us, exponent_a)) / 2

@@ -35,8 +35,8 @@ class CombParams(rules.CheckedFields):
 
     d: float
     gamma_comb_khz: float
-    delta_mhz: float = 2.0
-    bandwidth_mhz: float = 48.2
+    delta_mhz: float
+    bandwidth_mhz: float
     finesse: float | None = None
 
     RULES = {**dict.fromkeys(("d", "gamma_comb_khz", "delta_mhz", "bandwidth_mhz"),
@@ -70,9 +70,9 @@ class SpectralModel(rules.CheckedFields):
     Lorentzian half-width.  The two components sit at +-zeeman/2.
     """
 
-    gamma_natural_mhz: float = 19.6
-    zeeman_split_mhz: float = 11.22
-    qm_bandwidth_mhz: float = 48.2
+    gamma_natural_mhz: float
+    zeeman_split_mhz: float
+    qm_bandwidth_mhz: float
     detuning_mhz: float = 0.0
 
     RULES = {"gamma_natural_mhz": rules.POSITIVE_FINITE,
@@ -163,7 +163,7 @@ INTERVAL = rules.Rule("a [lo, hi] number pair with lo < hi",
 
 
 def plan_pump_regions(level_offsets: dict, windows: list[Interval],
-                      target: Interval, broadening_mhz: float = 497.2) -> PumpPlan:
+                      target: Interval, broadening_mhz: float) -> PumpPlan:
     """Compute per-transition pumped intervals for an enhancement pump set.
 
     ``level_offsets`` maps (ground, excited) label pairs to the transition
@@ -191,8 +191,8 @@ def plan_pump_regions(level_offsets: dict, windows: list[Interval],
 
 
 def effective_depth(plan: PumpPlan, native_d: float, strengths: dict,
-                    include_transmission_pump: bool = True,
-                    partial_weight: float = 0.5) -> float:
+                    include_transmission_pump: bool = True, *,
+                    partial_weight: float) -> float:
     """Band-averaged absorption depth after the pump sequence.
 
     ``strengths`` maps each (ground, excited) transition k to its relative

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rules
-from .ion import ZEEMAN_OMEGA_DEFAULT
 from .qstate import (
     PAULIS,
     DensityMatrix,
@@ -36,15 +35,17 @@ _PAULI_PRODUCTS.flags.writeable = False
 _LIFT_MIN_WEIGHT = 4e-12
 # the PBS extinction ratio; inf: no leakage
 PBS_EXTINCTION = rules.above(1)
+# the signal-to-noise ratio of the counts; inf: no dark noise
+SNR = rules.above(0)
 
 
 @dataclass(frozen=True)
 class JitterParams(rules.CheckedFields):
     """RMS timing jitter of the classical readout chain, in nanoseconds."""
 
-    awg_rms_ns: float = 0.305
-    transceiver_rms_ns: float = 0.056
-    zeeman_omega: float = ZEEMAN_OMEGA_DEFAULT  # rad/s
+    awg_rms_ns: float
+    transceiver_rms_ns: float
+    zeeman_omega: float  # rad/s
 
     RULES = dict.fromkeys(("awg_rms_ns", "transceiver_rms_ns", "zeeman_omega"),
                           rules.FINITE_NONNEGATIVE)
@@ -134,8 +135,7 @@ def dark_noise_admixture(rho: DensityMatrix, snr: float) -> DensityMatrix:
     """
     if rho.dim != 4:
         raise StateError("dark noise admixture expects a two-qubit state")
-    if not snr >= 0:  # also catches NaN
-        raise ValueError(f"snr must be nonnegative, got {snr}")
+    rules.check("snr", SNR, snr)
     p = 1.0 / (snr + 1.0)
     mixed = (1 - p) * rho.matrix + p * np.eye(4) / 4
     if p < _LIFT_MIN_WEIGHT:

@@ -93,11 +93,11 @@ def pipeline_stages(cfg: ExperimentConfig, scenario: str) -> list[tuple[str, np.
              ("pi_collection", _white_noise(pl["pi_collection_error"])),
              ("ion_decoherence", np.repeat((1.0, c_ion, c_ion, 1.0), 4)),
              ("jitter_dephasing", np.repeat((1.0, c_jitter, c_jitter, 1.0), 4))]
-    if scenario in ("post_qfc", "ti_qm", "chsh"):
+    if scenario in ("post_qfc", "ti_qm"):
         f = pl["qfc_process_fidelity"]
         rules.check("process_fidelity", rules.PROBABILITY, f)
         chain.append(("qfc_process", np.tile((1.0, *[f - (1 - f) / 3] * 3), 4)))
-    if scenario in ("ti_qm", "chsh"):
+    if scenario == "ti_qm":
         eta_h, eta_v, eps = (storage[k] for k in ("eta_internal_h", "eta_internal_v",
                                                   "residual_infidelity"))
         rules.check("eta_h", rules.PROBABILITY, eta_h)
@@ -108,7 +108,7 @@ def pipeline_stages(cfg: ExperimentConfig, scenario: str) -> list[tuple[str, np.
                                               [d, 0, 0, s]])))
         rules.check("avg_infidelity", memory.RESIDUAL_INFIDELITY, eps)
         chain.append(("qm_storage_residual", np.tile((1.0, 1 - 2 * eps, 1 - 2 * eps, 1.0), 4)))
-    if scenario in ("post_qfc", "ti_qm", "chsh"):
+    if scenario in ("post_qfc", "ti_qm"):
         extinction = cfg.section("noise")["pbs_extinction"]
         rules.check("extinction", PBS_EXTINCTION, extinction)
         flip = 1 - 2 * qstate.unit_interval("flip probability", 1.0 / extinction)
@@ -195,14 +195,14 @@ def _run_tomography(cfg: ExperimentConfig) -> RunReport:
 def _run_chsh(cfg: ExperimentConfig) -> RunReport:
     scen = cfg.scenario_section()
     report = RunReport(scenario=cfg.scenario, seed=cfg.master_seed)
-    # Equivalent-visibility model: a Werner state matched to the pipeline
-    # fidelity, measured at the optimal angles through the noisy detection
-    # chain (dark admixture applied at measurement, as in tomography).
-    f_pipe = analytic_fidelity(cfg, "chsh")
+    # Equivalent-visibility model: a Werner state matched to the fidelity of
+    # the ti_qm link, measured at the optimal angles through the noisy
+    # detection chain (dark admixture applied at measurement, as in tomography).
+    f_pipe = analytic_fidelity(cfg, "ti_qm")
     visibility = (4 * f_pipe - 1) / 3
     state = werner(visibility)
     settings = ChshSettings.optimal()
-    snr = scen["snr"]
+    snr = cfg.scenario_section("ti_qm")["snr"]
     s_analytic = tomography.chsh(dark_noise_admixture(state, snr), settings)
     report.add("pipeline_fidelity", f_pipe)
     report.add("werner_visibility", visibility)

@@ -3,6 +3,7 @@ pass/fail line.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import contextlib
+import dataclasses
 import math
 import time
 
@@ -12,8 +13,6 @@ import pytest
 from hqlink.budget import end_to_end_efficiency, rate, total_infidelity
 from hqlink.config import ExperimentConfig, error_budget_rows, pump_inputs, rate_chains
 from hqlink.memory import (
-    CombParams,
-    SpectralModel,
     afc_efficiency,
     bandwidth_match,
     effective_depth,
@@ -44,6 +43,9 @@ from hqlink.tomography import (
 )
 
 
+DEFAULTS = ExperimentConfig.defaults()
+
+
 @contextlib.contextmanager
 def criterion(number: int, label: str):
     try:
@@ -62,8 +64,8 @@ def random_state(rng, dim=4):
 
 def test_01_bandwidth_matching():
     with criterion(1, "bandwidth matching 74.34% at zero detuning, under 1 s"):
-        model = SpectralModel(gamma_natural_mhz=19.6, zeeman_split_mhz=11.22,
-                              qm_bandwidth_mhz=48.2, detuning_mhz=0.0)
+        model = DEFAULTS.spectral
+        assert model.detuning_mhz == 0.0
         t0 = time.perf_counter()
         eta = bandwidth_match(model)
         elapsed = time.perf_counter() - t0
@@ -73,7 +75,7 @@ def test_01_bandwidth_matching():
 
 def test_02_afc_efficiency():
     with criterion(2, "comb efficiency 43.3% at 500 ns and 31.0% at 1 us"):
-        comb = CombParams(d=10.5, gamma_comb_khz=259.8, delta_mhz=2.0, finesse=7.7)
+        comb = DEFAULTS.comb
         assert afc_efficiency(comb, 500.0) == pytest.approx(0.433, abs=0.010)
         assert afc_efficiency(comb, 1000.0) == pytest.approx(0.310, abs=0.010)
 
@@ -177,7 +179,7 @@ def test_08_property_suites():
             assert out.trace == pytest.approx(1.0, abs=1e-9)
 
         # comb efficiency decays monotonically and log-quadratically
-        comb = CombParams(d=10.5, gamma_comb_khz=259.8, delta_mhz=2.0, finesse=7.7)
+        comb = DEFAULTS.comb
         ts = np.linspace(0.0, 5000.0, 1000)
         effs = np.array([afc_efficiency(comb, t) for t in ts])
         assert np.all(np.diff(effs) <= 1e-15)
@@ -187,8 +189,11 @@ def test_08_property_suites():
         assert coeffs[0] == pytest.approx(expected, rel=1e-6)
 
         # band overlap is even in detuning and matches the arctan oracle
+        sp = DEFAULTS.spectral
+
         def oracle(df):
-            hw, c, half = 19.6 / 2, 11.22 / 2, 48.2 / 2
+            hw, c = sp.gamma_natural_mhz / 2, sp.zeeman_split_mhz / 2
+            half = sp.qm_bandwidth_mhz / 2
             total = 0.0
             for center in (c, -c):
                 total += math.atan((half + df - center) / hw)
@@ -196,8 +201,8 @@ def test_08_property_suites():
             return total / (2 * math.pi)
 
         for df in np.linspace(0.0, 55.0, 500):
-            plus = bandwidth_match(SpectralModel(detuning_mhz=float(df)))
-            minus = bandwidth_match(SpectralModel(detuning_mhz=float(-df)))
+            plus = bandwidth_match(dataclasses.replace(sp, detuning_mhz=float(df)))
+            minus = bandwidth_match(dataclasses.replace(sp, detuning_mhz=float(-df)))
             assert plus == pytest.approx(minus, abs=1e-8)
             assert plus == pytest.approx(oracle(df), abs=1e-6)
 

@@ -43,7 +43,8 @@ from hqlink.qstate import (
 )
 from hqlink.scenarios import analytic_pipeline_state, pipeline_stages
 
-TOMOGRAPHY_SCENARIOS = ("ion_photon", "post_qfc", "ti_qm", "chsh")
+# chsh samples the ti_qm link and has no pipeline of its own
+TOMOGRAPHY_SCENARIOS = ("ion_photon", "post_qfc", "ti_qm")
 WHITE_NOISE_RATES = ("excitation_error", "pi_collection_error", "spam_error",
                      "mw_rotation_error")
 
@@ -121,15 +122,15 @@ def kraus_chain(cfg: ExperimentConfig, scenario: str) -> list[tuple[str, Quantum
                                                 pl["decoherence_exponent_a"])),
         ("jitter_dephasing", jitter_dephasing_channel(cfg.jitter)),
     ]
-    if scenario in ("post_qfc", "ti_qm", "chsh"):
+    if scenario in ("post_qfc", "ti_qm"):
         qfc = process_matrix_channel(depolarizing_chi(pl["qfc_process_fidelity"]))
         chain.append(("qfc_process", QuantumChannel(kron(I2, qfc.kraus_ops))))
-    if scenario in ("ti_qm", "chsh"):
+    if scenario == "ti_qm":
         chain.append(("qm_storage", storage_channel(storage["eta_internal_h"],
                                                     storage["eta_internal_v"])))
         chain.append(("qm_storage_residual",
                       storage_residual_channel(storage["residual_infidelity"])))
-    if scenario in ("post_qfc", "ti_qm", "chsh"):
+    if scenario in ("post_qfc", "ti_qm"):
         chain.append(("pbs_leakage", pbs_bitflip_channel(cfg.section("noise")["pbs_extinction"])))
     return chain + [("spam", white_noise_channel(pl["spam_error"])),
                     ("mw_rotation", white_noise_channel(pl["mw_rotation_error"]))]
@@ -294,16 +295,15 @@ class TestPipelineChannelProperties:
         for name, f in breakdown:
             assert 0.0 <= f <= 1.0, name
 
-    @pytest.mark.parametrize("scenario", ["ti_qm", "chsh"])
-    def test_zero_storage_residual_is_the_chain_without_it(self, scenario, monkeypatch):
+    def test_zero_storage_residual_is_the_chain_without_it(self, monkeypatch):
         # residual_infidelity 0 switches the residual off: its factors
         # (1, 1, 1, 1) on the photon leave the Pauli vector bitwise unchanged
-        cfg = ExperimentConfig.defaults(scenario, storage={"residual_infidelity": 0.0})
-        state, herald_prob, breakdown = analytic_pipeline_state(cfg, scenario)
+        cfg = ExperimentConfig.defaults("ti_qm", storage={"residual_infidelity": 0.0})
+        state, herald_prob, breakdown = analytic_pipeline_state(cfg, "ti_qm")
         all_stages = scenarios.pipeline_stages
         monkeypatch.setattr(scenarios, "pipeline_stages", lambda *args: [
             stage for stage in all_stages(*args) if stage[0] != "qm_storage_residual"])
-        skipped, skipped_prob, skipped_breakdown = analytic_pipeline_state(cfg, scenario)
+        skipped, skipped_prob, skipped_breakdown = analytic_pipeline_state(cfg, "ti_qm")
         assert "qm_storage_residual" not in dict(skipped_breakdown)
         assert state.matrix.tobytes() == skipped.matrix.tobytes()
         assert herald_prob == skipped_prob
@@ -359,12 +359,18 @@ class TestPipelineChannelProperties:
         (0.0, sys.float_info.min), (sys.float_info.min, 0.0),
         (sys.float_info.min, sys.float_info.min)])
     def test_smallest_normal_storage_efficiency_builds(self, eta_h, eta_v):
-        for scenario in ("ti_qm", "chsh"):
-            cfg = ExperimentConfig.defaults(scenario, storage={"eta_internal_h": eta_h,
-                                                               "eta_internal_v": eta_v})
-            state, herald_prob, _ = analytic_pipeline_state(cfg, scenario)
-            assert abs(state.trace - 1.0) <= 1e-10
-            assert 0.0 < herald_prob <= sys.float_info.min
+        cfg = ExperimentConfig.defaults("ti_qm", storage={"eta_internal_h": eta_h,
+                                                          "eta_internal_v": eta_v})
+        state, herald_prob, _ = analytic_pipeline_state(cfg, "ti_qm")
+        assert abs(state.trace - 1.0) <= 1e-10
+        assert 0.0 < herald_prob <= sys.float_info.min
+
+    @pytest.mark.parametrize("key", ["snr", "decoherence_time_us"])
+    def test_chsh_sets_no_link_of_its_own(self, key):
+        # chsh samples the ti_qm link at the ti_qm SNR and storage time
+        with pytest.raises(ConfigError, match=f"^invalid configuration:\n  "
+                                              f"scenarios.chsh.{key}: unknown field$"):
+            ExperimentConfig.defaults("chsh", scenarios={"chsh": {key: 28.0}})
 
 
 def assert_chains_agree(cfg: ExperimentConfig, scenario: str):
@@ -392,8 +398,8 @@ class TestPauliChainAgainstKrausChain:
         ("post_qfc", {"pipeline": {"qfc_process_fidelity": 5e-10}}),
         ("ti_qm", {"pipeline": {"qfc_process_fidelity": 2.1e-10}}),
         ("ti_qm", {"storage": {"eta_internal_h": 0.0, "eta_internal_v": sys.float_info.min}}),
-        ("chsh", {"storage": {"eta_internal_h": sys.float_info.min,
-                              "eta_internal_v": sys.float_info.min}}),
+        ("ti_qm", {"storage": {"eta_internal_h": sys.float_info.min,
+                               "eta_internal_v": sys.float_info.min}}),
         ("ti_qm", {"storage": {"residual_infidelity": 0.0}}),
         *[(scenario, {}) for scenario in TOMOGRAPHY_SCENARIOS],
     ])

@@ -378,6 +378,9 @@ class TestCli:
         ({"pump": {"partial_weight": 0.5}}, "pump: unknown field"),
         ({"rates": 5}, "rates: expected an object"),
         ([1, 2], "config: expected a JSON object"),
+        # so is the comb's tooth spacing; chsh takes the ti_qm SNR
+        ({"comb": {"delta_mhz": 2.0}}, "comb.delta_mhz: unknown field"),
+        ({"scenarios": {"chsh": {"snr": 28.0}}}, "scenarios.chsh.snr: unknown field"),
     ])
     def test_unknown_field_exit_two(self, config, error, tmp_path, capsys):
         _assert_exit_two(tmp_path, capsys, "budget", config, error)
@@ -388,8 +391,9 @@ class TestCli:
          "scenarios.post_qfc.snr"),
         ("ion_photon", {"scenarios": {"ion_photon": {"decoherence_time_us": float("nan")}}},
          "scenarios.ion_photon.decoherence_time_us"),
+        # chsh samples the ti_qm link and has no storage time of its own
         ("chsh", {"scenarios": {"chsh": {"decoherence_time_us": -1.0}}},
-         "scenarios.chsh.decoherence_time_us"),
+         "scenarios.chsh.decoherence_time_us: unknown field"),
         ("budget", {"ion": {"zeeman_frequency_mhz": float("nan")}},
          "ion.zeeman_frequency_mhz: expected a finite number >= 0, got nan"),
         ("budget", {"master_seed": True}, "master_seed"),

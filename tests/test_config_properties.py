@@ -11,6 +11,7 @@ import contextlib
 import copy
 import dataclasses
 import functools
+import inspect
 import io
 import json
 import math
@@ -23,6 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hqlink.cli as cli
+import hqlink.config as config
 import hqlink.rules as rules
 from hqlink.budget import EfficiencyStage, ErrorSource, RateChain
 from hqlink.config import (
@@ -53,7 +55,15 @@ from hqlink.memory import (
     storage_channel,
     storage_residual_channel,
 )
-from hqlink.photon import PBS_EXTINCTION, JitterParams, depolarizing_chi, pbs_bitflip_channel
+from hqlink.photon import (
+    PBS_EXTINCTION,
+    SNR,
+    JitterParams,
+    dark_noise_admixture,
+    depolarizing_chi,
+    pbs_bitflip_channel,
+)
+from hqlink.qstate import bell_state
 from hqlink.rng import child_rng
 from hqlink.scenarios import (
     analytic_fidelity,
@@ -61,6 +71,7 @@ from hqlink.scenarios import (
     emit_report,
     pipeline_stages,
     records_to_csv,
+    round15,
     run,
 )
 from hqlink.tomography import (
@@ -306,9 +317,6 @@ NO_OUTPUT_EXEMPT = {
     # it sets only the bootstrap stddev, which the outputs below leave out
     # to keep the test fast
     "pipeline.bootstrap_resamples",
-    # it only cross-checks the published finesse 7.7 against delta/gamma =
-    # 7.698; dropping either would move reports or hide a constant
-    "comb.delta_mhz",
 }
 
 
@@ -352,14 +360,55 @@ class TestEveryValueMatters:
     def test_exempt_values_are_numeric_fields(self):
         assert NO_OUTPUT_EXEMPT <= set(NUMERIC_FIELDS)
 
+    @pytest.mark.parametrize("key", ["snr", "decoherence_time_us"])
+    def test_chsh_reads_the_ti_qm_link(self, key):
+        # chsh has no SNR or storage time of its own: it samples the ti_qm link
+        default = run(ExperimentConfig.defaults("chsh")).statistics
+        cfg = ExperimentConfig.defaults(
+            "chsh", **_nest(f"scenarios.ti_qm.{key}", LEAVES[f"scenarios.ti_qm.{key}"] * 1.001))
+        nudged = run(cfg).statistics
+        assert nudged["pipeline_fidelity"] != default["pipeline_fidelity"]
+        assert nudged["pipeline_fidelity"]["value"] == round15(analytic_fidelity(cfg, "ti_qm"))
 
+
+class TestOneSourcePerValue:
+    # null: the finesse is derived as delta / gamma_comb; not a published value
+    KEPT_DEFAULTS = {(CombParams, "finesse"): None}
+
+    def test_no_field_the_config_fills_has_a_default(self, monkeypatch):
+        # a default on a field that from_dict fills would be a second copy of
+        # the config's value
+        filled = {}
+        for cls in (IonParams, JitterParams, CombParams, SpectralModel):
+            def record(*args, cls=cls, **kwargs):
+                filled[cls] = set(inspect.signature(cls).bind(*args, **kwargs).arguments)
+                return cls(*args, **kwargs)
+            monkeypatch.setattr(config, cls.__name__, record)
+        ExperimentConfig.from_dict({})
+        assert len(filled) == 4
+        for cls, names in filled.items():
+            for f in dataclasses.fields(cls):
+                if f.name in names:
+                    assert f.default_factory is dataclasses.MISSING, (cls, f.name)
+                    kept = self.KEPT_DEFAULTS.get((cls, f.name), dataclasses.MISSING)
+                    assert f.default is kept, f"{cls.__name__}.{f.name} restates a config value"
+
+    @pytest.mark.parametrize("function, name", [
+        (decoherence_coherence, "exponent_a"), (decoherence_channel, "exponent_a"),
+        (decoherence_infidelity, "exponent_a"), (plan_pump_regions, "broadening_mhz"),
+        (effective_depth, "partial_weight")])
+    def test_no_parameter_restates_a_published_value(self, function, name):
+        assert inspect.signature(function).parameters[name].default is inspect.Parameter.empty
+
+
+TI_QM = ExperimentConfig.defaults("ti_qm")
 # Valid keyword arguments of each parameter dataclass; each field that its
 # RULES names is then replaced by a drawn value.
 DATACLASS_KWARGS = {
-    IonParams: {},
-    JitterParams: {},
-    CombParams: {"d": 10.5, "gamma_comb_khz": 259.8},
-    SpectralModel: {},
+    IonParams: dataclasses.asdict(TI_QM.ion),
+    JitterParams: dataclasses.asdict(TI_QM.jitter),
+    CombParams: {**dataclasses.asdict(TI_QM.comb), "finesse": None},
+    SpectralModel: dataclasses.asdict(TI_QM.spectral),
     EfficiencyStage: {"name": "s", "value": 0.5, "eta_h": 0.4, "eta_v": 0.6},
     RateChain: {"name": "c", "repetition_rate_hz": 1e5, "stages": ()},
     ErrorSource: {"name": "e", "infidelity": 0.01},
@@ -374,8 +423,7 @@ SHARED_FIELDS = [
     (JitterParams, "awg_rms_ns", "jitter.awg_rms_ns"),
     (JitterParams, "transceiver_rms_ns", "jitter.transceiver_rms_ns"),
     (JitterParams, "zeeman_omega", "ion.zeeman_frequency_mhz"),
-    *[(CombParams, key, f"comb.{key}") for key in ("d", "gamma_comb_khz", "delta_mhz",
-                                                     "finesse")],
+    *[(CombParams, key, f"comb.{key}") for key in ("d", "gamma_comb_khz", "finesse")],
     (CombParams, "bandwidth_mhz", "spectral.qm_bandwidth_mhz"),
     (SpectralModel, "gamma_natural_mhz", "spectral.gamma_natural_mhz"),
     (SpectralModel, "qm_bandwidth_mhz", "spectral.qm_bandwidth_mhz"),
@@ -388,9 +436,9 @@ SHARED_FIELDS = [
     (EfficiencyStage, "eta_v", "storage.eta_device_v"),
     *[(RateChain, "repetition_rate_hz", f"rates.r_exp{i}_hz") for i in (1, 2, 3)],
 ]
-OFFSETS, WINDOWS, TARGET, SPAN, STRENGTHS, _, _ = pump_inputs(ExperimentConfig.defaults())
+OFFSETS, WINDOWS, TARGET, SPAN, STRENGTHS, _, W = pump_inputs(TI_QM)
 PLAN = plan_pump_regions(OFFSETS, WINDOWS, TARGET, SPAN)
-TI_QM = ExperimentConfig.defaults("ti_qm")
+ION, A = TI_QM.ion, TI_QM.section("pipeline")["decoherence_exponent_a"]
 
 
 def stages_past_load(path: str):
@@ -410,14 +458,14 @@ def stages_past_load(path: str):
 # of the emission and the pump depth, whose elapsed time and native depth no
 # config field holds (path None).
 BUILDER_RULES = [
-    (lambda v: decoherence_channel(IonParams(), v), "t_us", rules.FINITE_NONNEGATIVE,
+    (lambda v: decoherence_channel(ION, v, A), "t_us", rules.FINITE_NONNEGATIVE,
      "scenarios.ti_qm.decoherence_time_us"),
-    (lambda v: decoherence_channel(IonParams(), 1.0, v), "exponent_a", DECOHERENCE_EXPONENT,
+    (lambda v: decoherence_channel(ION, 1.0, v), "exponent_a", DECOHERENCE_EXPONENT,
      "pipeline.decoherence_exponent_a"),
-    *[(lambda v, f=f: f(IonParams(), v), "t_us", rules.FINITE_NONNEGATIVE,
+    *[(lambda v, f=f: f(ION, v, A), "t_us", rules.FINITE_NONNEGATIVE,
        "scenarios.ti_qm.decoherence_time_us")
       for f in (decoherence_coherence, decoherence_infidelity)],
-    *[(lambda v, f=f: f(IonParams(), 1.0, v), "exponent_a", DECOHERENCE_EXPONENT,
+    *[(lambda v, f=f: f(ION, 1.0, v), "exponent_a", DECOHERENCE_EXPONENT,
        "pipeline.decoherence_exponent_a") for f in (decoherence_coherence, decoherence_infidelity)],
     *[(stages_past_load(path), arg, rule, path) for path, arg, rule in (
         ("scenarios.ti_qm.decoherence_time_us", "t_us", rules.FINITE_NONNEGATIVE),
@@ -433,12 +481,13 @@ BUILDER_RULES = [
     (lambda v: storage_channel(0.5, v), "eta_v", rules.PROBABILITY, "storage.eta_internal_v"),
     (storage_residual_channel, "avg_infidelity", RESIDUAL_INFIDELITY,
      "storage.residual_infidelity"),
-    (lambda v: effective_depth(PLAN, v, STRENGTHS), "native_d", rules.FINITE_NONNEGATIVE,
-     None),
+    (lambda v: effective_depth(PLAN, v, STRENGTHS, partial_weight=W), "native_d",
+     rules.FINITE_NONNEGATIVE, None),
     (lambda v: bootstrap_uncertainty([], v, "fidelity", 0), "n_resamples", BOOTSTRAP_RESAMPLES,
      "pipeline.bootstrap_resamples"),
-    (lambda v: emit_entangled_state(IonParams(), v), "t_elapsed_ns", rules.FINITE_NONNEGATIVE,
-     None),
+    (lambda v: emit_entangled_state(ION, v), "t_elapsed_ns", rules.FINITE_NONNEGATIVE, None),
+    (lambda v: dark_noise_admixture(bell_state(0.0).density(), v), "snr", SNR,
+     "scenarios.ti_qm.snr"),
 ]
 
 
@@ -493,7 +542,7 @@ class TestDirectConstruction:
     @pytest.mark.parametrize("finesse", [7.6, 7.7, np.float32(7.7), np.float64(7.8),
                                          np.float16(7.7)])
     def test_comb_takes_a_consistent_finesse_of_any_real_type(self, finesse):
-        assert CombParams(d=10.5, gamma_comb_khz=259.8, finesse=finesse).finesse is finesse
+        assert dataclasses.replace(TI_QM.comb, finesse=finesse).finesse is finesse
 
     @pytest.mark.parametrize("builder, arg, rule, path", BUILDER_RULES)
     def test_builders_reject_by_their_fields_rule(self, builder, arg, rule, path):

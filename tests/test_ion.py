@@ -1,19 +1,18 @@
 """Trapped-ion node tests: emission phase and decoherence."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from hqlink.ion import (
-    IonParams,
-    decoherence_channel,
-    decoherence_infidelity,
-    emit_entangled_state,
-)
+from hqlink.config import ExperimentConfig
+from hqlink.ion import decoherence_channel, decoherence_infidelity, emit_entangled_state
 from hqlink.qstate import apply_channel, bell_state, fidelity
 
-ION = IonParams()
+DEFAULTS = ExperimentConfig.defaults()
+ION = DEFAULTS.ion
+A = DEFAULTS.section("pipeline")["decoherence_exponent_a"]
 
 
 class TestEmission:
@@ -56,38 +55,38 @@ class TestEmission:
     def test_nonpositive_coherence_time_rejected(self):
         with pytest.raises(ValueError, match=r"^coherence_time_tau_ms: expected a number > 0, "
                                               r"got 0\.0$"):
-            IonParams(coherence_time_tau_ms=0.0)
+            dataclasses.replace(ION, coherence_time_tau_ms=0.0)
 
     def test_nan_coherence_time_rejected(self):
         with pytest.raises(ValueError, match=r"^coherence_time_tau_ms: expected a number > 0, "
                                               r"got nan$"):
-            IonParams(coherence_time_tau_ms=math.nan)
+            dataclasses.replace(ION, coherence_time_tau_ms=math.nan)
 
 
 class TestDecoherence:
     def test_zero_time_identity(self):
-        ch = decoherence_channel(ION, 0.0)
+        ch = decoherence_channel(ION, 0.0, A)
         rho = apply_channel(bell_state(0.0).density(), ch)
         assert fidelity(rho, bell_state(0.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_long_time_limit(self):
-        ch = decoherence_channel(ION, 1e9)
+        ch = decoherence_channel(ION, 1e9, A)
         rho = apply_channel(bell_state(0.0).density(), ch)
         assert fidelity(rho, bell_state(0.0)) == pytest.approx(0.5, abs=1e-9)
 
     def test_operating_point_formula_value(self):
-        # direct evaluation of (1 - exp(-(t/tau)^2))/2 at t = 3.17 us
-        t_us = 3.17
-        tau_us = 0.989e3
+        # direct evaluation of (1 - exp(-(t/tau)^2))/2 at the ti_qm storage time
+        t_us = DEFAULTS.scenario_section("ti_qm")["decoherence_time_us"]
+        tau_us = ION.coherence_time_tau_ms * 1e3
         expected = (1 - math.exp(-((t_us / tau_us) ** 2))) / 2
         assert expected == pytest.approx(5.1e-6, rel=0.01)
-        assert decoherence_infidelity(ION, t_us) == pytest.approx(expected, rel=1e-12)
-        rho = apply_channel(bell_state(0.0).density(), decoherence_channel(ION, t_us))
+        assert decoherence_infidelity(ION, t_us, A) == pytest.approx(expected, rel=1e-12)
+        rho = apply_channel(bell_state(0.0).density(), decoherence_channel(ION, t_us, A))
         assert 1 - fidelity(rho, bell_state(0.0)) == pytest.approx(expected, rel=1e-6)
 
     def test_fidelity_monotone_in_time(self):
         times = np.linspace(0, 2000, 40)
-        fids = [1 - decoherence_infidelity(ION, t) for t in times]
+        fids = [1 - decoherence_infidelity(ION, t, A) for t in times]
         assert all(b <= a + 1e-15 for a, b in zip(fids, fids[1:]))
 
     def test_exponent_range_enforced(self):

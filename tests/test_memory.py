@@ -1,16 +1,26 @@
 """AFC memory tests: comb efficiency, bandwidth matching, pump planning and
 the heralded storage channel."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hqlink.config import ConfigError, ExperimentConfig
+from hqlink.config import (
+    PUMP_BROADENING_MHZ,
+    PUMP_NATIVE_D,
+    PUMP_PARTIAL_WEIGHT,
+    PUMP_STRENGTHS,
+    PUMP_TARGET_MHZ,
+    PUMP_TRANSITION_OFFSETS_MHZ,
+    PUMP_WINDOWS_MHZ,
+    ConfigError,
+    ExperimentConfig,
+)
 from hqlink.memory import (
     COMB_B,
-    CombParams,
     SpectralModel,
     afc_efficiency,
     bandwidth_match,
@@ -22,20 +32,18 @@ from hqlink.memory import (
 )
 from hqlink.qstate import DensityMatrix, apply_channel, bell_state, fidelity
 
-COMB = CombParams(d=10.5, gamma_comb_khz=259.8, delta_mhz=2.0, finesse=7.7)
+DEFAULTS = ExperimentConfig.defaults()
+COMB = DEFAULTS.comb
+SPECTRAL = DEFAULTS.spectral
 
-# class structure of the site-2 ions on the pump-design axis (MHz)
-GROUND = {"1/2g": 224.5, "3/2g": 148.1, "5/2g": 0.0}
-EXCITED = {"1/2e": 0.0, "3/2e": 159.1, "5/2e": 431.8}
-OFFSETS = {(g, e): GROUND[g] + EXCITED[e] for g in GROUND for e in EXCITED}
-WINDOWS = [(274.0, 497.2), (0.0, 223.2)]
-TARGET = (224.5, 272.7)
-SPAN = 497.2
-STRENGTHS = {
-    ("1/2g", "1/2e"): 0.56, ("1/2g", "3/2e"): 0.38, ("1/2g", "5/2e"): 0.06,
-    ("3/2g", "1/2e"): 0.42, ("3/2g", "3/2e"): 0.42, ("3/2g", "5/2e"): 0.16,
-    ("5/2g", "1/2e"): 0.02, ("5/2g", "3/2e"): 0.24, ("5/2g", "5/2e"): 0.74,
-}
+# the published pump design of the site-2 ions (MHz)
+OFFSETS = PUMP_TRANSITION_OFFSETS_MHZ
+WINDOWS = list(PUMP_WINDOWS_MHZ)
+TARGET = PUMP_TARGET_MHZ
+SPAN = PUMP_BROADENING_MHZ
+STRENGTHS = PUMP_STRENGTHS
+D_H, D_V = PUMP_NATIVE_D["H"], PUMP_NATIVE_D["V"]
+W = PUMP_PARTIAL_WEIGHT
 
 
 class TestAfcEfficiency:
@@ -46,8 +54,8 @@ class TestAfcEfficiency:
         assert afc_efficiency(COMB, 1000.0) == pytest.approx(0.310, abs=0.010)
 
     def test_zero_comb_width_limit(self):
-        narrow = CombParams(d=10.5, gamma_comb_khz=1e-6, delta_mhz=2.0)
-        d_over_f = 10.5 / narrow.finesse
+        narrow = dataclasses.replace(COMB, gamma_comb_khz=1e-6, finesse=None)
+        d_over_f = COMB.d / narrow.finesse
         expected = COMB_B ** 2 * d_over_f ** 2 * math.exp(-COMB_B * d_over_f)
         for t in (0.0, 500.0, 5000.0):
             assert afc_efficiency(narrow, t) == pytest.approx(expected, rel=1e-6)
@@ -73,16 +81,15 @@ class TestAfcEfficiency:
         ("delta_mhz", "a positive finite number"), ("bandwidth_mhz", "a positive finite number"),
         ("finesse", "a finite number or null")])
     def test_boolean_field_rejected(self, name, rule):
-        fields = {"d": 10.5, "gamma_comb_khz": 259.8, "delta_mhz": 2.0, "bandwidth_mhz": 48.2,
-                  "finesse": None, name: True}
         with pytest.raises(ValueError, match=f"^{name}: expected {rule}, got True$"):
-            CombParams(**fields)
+            dataclasses.replace(COMB, **{"finesse": None, name: True})
 
     def test_finesse_consistency_enforced(self):
         with pytest.raises(ValueError):
-            CombParams(d=10.5, gamma_comb_khz=259.8, delta_mhz=2.0, finesse=5.0)
-        implied = CombParams(d=10.5, gamma_comb_khz=259.8, delta_mhz=2.0)
-        assert implied.finesse == pytest.approx(2.0e3 / 259.8, rel=1e-12)
+            dataclasses.replace(COMB, finesse=5.0)
+        implied = dataclasses.replace(COMB, finesse=None)
+        assert implied.finesse == pytest.approx(COMB.delta_mhz * 1e3 / COMB.gamma_comb_khz,
+                                                rel=1e-12)
 
     @pytest.mark.parametrize("gamma", [5e-324, np.float64(5e-324), Fraction(1, 10 ** 400)],
                              ids=["float", "float64", "fraction"])
@@ -92,13 +99,13 @@ class TestAfcEfficiency:
         # (an error under tier-1) and as ZeroDivisionError, in that order
         with pytest.raises(ValueError, match=r"^delta_mhz \* 1e3 / gamma_comb_khz: expected a "
                                              r"positive finite number, got (np\.float64\()?inf"):
-            CombParams(d=10.5, gamma_comb_khz=gamma, delta_mhz=2.0, finesse=finesse)
+            dataclasses.replace(COMB, gamma_comb_khz=gamma, finesse=finesse)
 
     def test_implied_finesse_must_be_positive(self):
         # delta * 1e3 / gamma underflows to 0, which afc_efficiency divides by
         with pytest.raises(ValueError, match=r"^delta_mhz \* 1e3 / gamma_comb_khz: expected a "
                                              r"positive finite number, got 0\.0$"):
-            CombParams(d=10.5, gamma_comb_khz=1e308, delta_mhz=5e-324)
+            dataclasses.replace(COMB, gamma_comb_khz=1e308, delta_mhz=5e-324, finesse=None)
 
     def test_tiny_tooth_width_fails_at_config_load(self):
         with pytest.raises(ConfigError, match="comb: delta_mhz"):
@@ -119,27 +126,27 @@ def eta_bw_closed_form(m: SpectralModel, df: float = None) -> float:
 
 class TestBandwidthMatch:
     def test_aligned_operating_point(self):
-        assert bandwidth_match(SpectralModel()) == pytest.approx(0.7434, abs=0.0005)
+        assert bandwidth_match(SPECTRAL) == pytest.approx(0.7434, abs=0.0005)
 
     def test_agrees_with_arctan_oracle(self):
         for df in (0.0, 5.0, -12.0, 30.0):
-            m = SpectralModel(detuning_mhz=df)
+            m = dataclasses.replace(SPECTRAL, detuning_mhz=df)
             assert bandwidth_match(m) == pytest.approx(eta_bw_closed_form(m), abs=1e-6)
 
     def test_wide_band_limit(self):
-        m = SpectralModel(qm_bandwidth_mhz=1e6)
+        m = dataclasses.replace(SPECTRAL, qm_bandwidth_mhz=1e6)
         assert bandwidth_match(m) == pytest.approx(1.0, abs=1e-4)
 
     def test_detuned_below_aligned_and_monotone(self):
-        vals = [bandwidth_match(SpectralModel(detuning_mhz=df))
+        vals = [bandwidth_match(dataclasses.replace(SPECTRAL, detuning_mhz=df))
                 for df in np.linspace(0, 50, 11)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < vals[0]
 
     def test_even_in_detuning(self):
         for df in (3.0, 17.5, 42.0):
-            a = bandwidth_match(SpectralModel(detuning_mhz=df))
-            b = bandwidth_match(SpectralModel(detuning_mhz=-df))
+            a = bandwidth_match(dataclasses.replace(SPECTRAL, detuning_mhz=df))
+            b = bandwidth_match(dataclasses.replace(SPECTRAL, detuning_mhz=-df))
             assert a == pytest.approx(b, abs=1e-8)
 
 
@@ -165,12 +172,12 @@ class TestPumpPlanner:
     def test_empty_windows(self):
         plan = plan_pump_regions(OFFSETS, [], TARGET, SPAN)
         assert all(not v for v in plan.pumped_regions.values())
-        assert effective_depth(plan, 5.24, STRENGTHS) == pytest.approx(5.24)
+        assert effective_depth(plan, D_H, STRENGTHS, partial_weight=W) == pytest.approx(D_H)
 
     def test_single_transition_fully_pumped(self):
         offsets = {("g", "e"): 100.0}
-        plan = plan_pump_regions(offsets, [(50.0, 700.0)], (10.0, 20.0), 497.2)
-        assert plan.pumped_regions[("g", "e")] == ((0.0, 497.2),)
+        plan = plan_pump_regions(offsets, [(50.0, 700.0)], (10.0, 20.0), SPAN)
+        assert plan.pumped_regions[("g", "e")] == ((0.0, SPAN),)
 
     def test_window_overlapping_target_rejected(self):
         with pytest.raises(ValueError):
@@ -202,31 +209,35 @@ class TestPumpPlanner:
 class TestEffectiveDepth:
     def test_paper_plan_h(self):
         plan = plan_pump_regions(OFFSETS, WINDOWS, TARGET, SPAN)
-        assert effective_depth(plan, 5.24, STRENGTHS) == pytest.approx(10.5, abs=0.5)
+        assert effective_depth(plan, D_H, STRENGTHS, partial_weight=W) == \
+            pytest.approx(10.5, abs=0.5)
 
     def test_paper_plan_v(self):
         plan = plan_pump_regions(OFFSETS, WINDOWS, TARGET, SPAN)
-        assert effective_depth(plan, 4.66, STRENGTHS) == pytest.approx(9.0, abs=0.5)
+        assert effective_depth(plan, D_V, STRENGTHS, partial_weight=W) == \
+            pytest.approx(9.0, abs=0.5)
 
     @pytest.mark.parametrize("native_d, transmission, expected", [
-        (5.24, True, "0x1.4feb3f3705defp+3"),   # H, 10.497
-        (4.66, True, "0x1.2abcb066ac4e1p+3"),   # V, 9.336
-        (5.24, False, "0x1.4feb3f3705defp+3"),  # H without the transmission pump
+        (D_H, True, "0x1.4feb3f3705defp+3"),   # H, 10.497
+        (D_V, True, "0x1.2abcb066ac4e1p+3"),   # V, 9.336
+        (D_H, False, "0x1.4feb3f3705defp+3"),  # H without the transmission pump
     ])
     def test_paper_plan_bit_for_bit(self, native_d, transmission, expected):
         plan = plan_pump_regions(OFFSETS, WINDOWS, TARGET, SPAN)
-        assert effective_depth(plan, native_d, STRENGTHS, transmission).hex() == expected
+        assert effective_depth(plan, native_d, STRENGTHS, transmission,
+                               partial_weight=W).hex() == expected
 
     def test_all_population_removed(self):
         # far-detuned enhancement windows refill nothing: the transmission
         # pump empties the band and the depth collapses
         plan = plan_pump_regions(OFFSETS, [(5000.0, 5100.0)], TARGET, SPAN)
-        assert effective_depth(plan, 5.24, STRENGTHS) == pytest.approx(0.0, abs=1e-9)
+        assert effective_depth(plan, D_H, STRENGTHS, partial_weight=W) == \
+            pytest.approx(0.0, abs=1e-9)
 
     def test_unknown_transition_rejected(self):
         plan = plan_pump_regions(OFFSETS, WINDOWS, TARGET, SPAN)
         with pytest.raises(ValueError):
-            effective_depth(plan, 5.24, {("x", "y"): 1.0})
+            effective_depth(plan, D_H, {("x", "y"): 1.0}, partial_weight=W)
 
 
 # Three ground levels a, b, c at 0, 100, 200 MHz, each with excited levels e1

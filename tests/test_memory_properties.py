@@ -142,7 +142,7 @@ class TestEffectiveDepthProperties:
     @given(pump_cases())
     def test_matches_brute_force_band_average(self, case):
         plan, native_d, strengths, transmission, w = case
-        exact = effective_depth(plan, native_d, strengths, transmission, w)
+        exact = effective_depth(plan, native_d, strengths, transmission, partial_weight=w)
         brute = brute_force_depth(plan, native_d, strengths, transmission, w)
         # relative to the native depth: a pumped-empty band reads 0 on both sides
         assert exact == pytest.approx(brute, abs=1e-3 * native_d)
@@ -154,5 +154,7 @@ class TestEffectiveDepthProperties:
         keys = list(strengths)
         rnd.shuffle(keys)
         shuffled = {k: strengths[k] for k in keys}
-        assert effective_depth(plan, native_d, shuffled, transmission, w) == pytest.approx(
-            effective_depth(plan, native_d, strengths, transmission, w), rel=1e-12, abs=1e-12)
+        assert effective_depth(plan, native_d, shuffled, transmission,
+                               partial_weight=w) == pytest.approx(
+            effective_depth(plan, native_d, strengths, transmission, partial_weight=w),
+            rel=1e-12, abs=1e-12)

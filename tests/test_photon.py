@@ -1,6 +1,7 @@
 """Photon-chain tests: jitter, PBS leakage, dark noise and process
 matrices."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hqlink.config import ExperimentConfig
 from hqlink.photon import (
     _LIFT_MIN_WEIGHT,
-    JitterParams,
     ProcessMatrix,
     dark_noise_admixture,
     dark_noise_infidelity,
@@ -33,6 +34,10 @@ from hqlink.qstate import (
     fidelity,
     trace_distance,
 )
+
+
+JITTER = ExperimentConfig.defaults().jitter
+NO_JITTER = dataclasses.replace(JITTER, awg_rms_ns=0, transceiver_rms_ns=0)
 
 
 def random_state(rng, dim=4):
@@ -63,25 +68,25 @@ VALID_STATES = st.one_of(
 
 class TestJitter:
     def test_quadrature_sum_at_operating_point(self):
-        assert jitter_total_rms(JitterParams()) == pytest.approx(0.310, abs=5e-4)
+        assert jitter_total_rms(JITTER) == pytest.approx(0.310, abs=5e-4)
 
     def test_zero(self):
-        assert jitter_total_rms(JitterParams(awg_rms_ns=0, transceiver_rms_ns=0)) == 0.0
+        assert jitter_total_rms(NO_JITTER) == 0.0
 
     def test_pythagorean(self):
-        assert jitter_total_rms(JitterParams(awg_rms_ns=3, transceiver_rms_ns=4)) == \
-            pytest.approx(5.0, abs=1e-12)
+        p = dataclasses.replace(JITTER, awg_rms_ns=3, transceiver_rms_ns=4)
+        assert jitter_total_rms(p) == pytest.approx(5.0, abs=1e-12)
 
     def test_phase_uncertainty(self):
-        assert jitter_phase_uncertainty(JitterParams()) == pytest.approx(2.19e-2, rel=5e-3)
+        assert jitter_phase_uncertainty(JITTER) == pytest.approx(2.19e-2, rel=5e-3)
 
     def test_bell_infidelity(self):
-        assert jitter_infidelity(JitterParams()) == pytest.approx(1.2e-4, rel=0.01)
-        rho = apply_channel(bell_state(0.0).density(), jitter_dephasing_channel(JitterParams()))
+        assert jitter_infidelity(JITTER) == pytest.approx(1.2e-4, rel=0.01)
+        rho = apply_channel(bell_state(0.0).density(), jitter_dephasing_channel(JITTER))
         assert 1 - fidelity(rho, bell_state(0.0)) == pytest.approx(1.2e-4, rel=0.01)
 
     def test_zero_jitter_identity(self):
-        ch = jitter_dephasing_channel(JitterParams(awg_rms_ns=0, transceiver_rms_ns=0))
+        ch = jitter_dephasing_channel(NO_JITTER)
         rho = bell_state(0.4).density()
         np.testing.assert_allclose(apply_channel(rho, ch).matrix, rho.matrix, atol=1e-12)
 
@@ -96,12 +101,12 @@ class TestJitter:
     ])
     def test_non_finite_component_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"^{name}: expected a finite number >= 0, got "):
-            JitterParams(**{name: value})
+            dataclasses.replace(JITTER, **{name: value})
 
     def test_negative_component_rejected(self):
         with pytest.raises(ValueError, match=r"^transceiver_rms_ns: expected a finite number "
                                               r">= 0, got -0\.1$"):
-            JitterParams(transceiver_rms_ns=-0.1)
+            dataclasses.replace(JITTER, transceiver_rms_ns=-0.1)
 
 
 class TestPbs:
@@ -153,17 +158,20 @@ class TestDarkNoise:
         out = dark_noise_admixture(rho, 1e15)
         np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
 
-    @pytest.mark.parametrize("snr", [-1.0, math.nan])
-    def test_negative_or_nan_snr_rejected(self, snr):
-        with pytest.raises(ValueError, match="snr must be nonnegative"):
+    # snr = 0 is rejected by the rule the config's scenarios.*.snr takes: a
+    # run whose counts are all noise has no state to reconstruct
+    @pytest.mark.parametrize("snr", [-1.0, math.nan, 0.0])
+    def test_nonpositive_or_nan_snr_rejected(self, snr):
+        with pytest.raises(ValueError, match=r"^snr: expected a number > 0, got "):
             dark_noise_admixture(bell_state(0.0).density(), snr)
 
-    def test_zero_snr_fully_mixed(self):
-        out = dark_noise_admixture(bell_state(0.0).density(), 0.0)
+    def test_least_snr_fully_mixed(self):
+        # the least positive float: p = 1/(snr + 1) rounds to 1
+        out = dark_noise_admixture(bell_state(0.0).density(), 5e-324)
         np.testing.assert_allclose(out.matrix, np.eye(4) / 4, atol=1e-12)
 
     @settings(max_examples=300, deadline=None)
-    @given(rho=VALID_STATES, snr=st.floats(min_value=0.0))
+    @given(rho=VALID_STATES, snr=st.floats(min_value=0.0, exclude_min=True))
     @example(rho=bell_state(0.3).density(), snr=math.inf)
     @example(rho=bell_state(0.3).density(), snr=1e300)
     @example(rho=bell_state(0.3).density(), snr=28.0)

@@ -595,7 +595,7 @@ class TestChshTables:
     @staticmethod
     def states():
         rng = np.random.default_rng(53)
-        pipeline = analytic_pipeline_state(ExperimentConfig.defaults("chsh"), "chsh")[0]
+        pipeline = analytic_pipeline_state(ExperimentConfig.defaults(), "ti_qm")[0]
         return [pipeline, bell_state(0.0).density(), werner(0.8), random_state(rng)]
 
     @pytest.mark.parametrize("which", ["optimal", "paper_stated", "random"])
