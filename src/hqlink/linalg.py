@@ -23,6 +23,11 @@ except ImportError:  # pragma: no cover - a numpy without the module
 _cholesky_lo = getattr(_umath_linalg, "cholesky_lo", None)
 _solve1 = getattr(_umath_linalg, "solve1", None)
 _eigvalsh_lo = getattr(_umath_linalg, "eigvalsh_lo", None)
+_eigh_lo = getattr(_umath_linalg, "eigh_lo", None)
+
+
+def _nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
 def cholesky(a: np.ndarray) -> np.ndarray | None:
@@ -56,3 +61,15 @@ def eigvalsh(m: np.ndarray) -> np.ndarray:
             return np.full(m.shape[-1], math.nan)
     with np.errstate(all="ignore"):
         return _eigvalsh_lo(m, signature="D->d")
+
+
+def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(m): the ascending eigenvalues and the eigenvectors of a
+    real symmetric or complex Hermitian ``m``, raising LinAlgError where the
+    kernel raises the invalid flag (the eigenvalues did not converge), as the
+    wrapper does."""
+    if _eigh_lo is None:
+        return np.linalg.eigh(m)
+    with np.errstate(call=_nonconvergence, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _eigh_lo(m, signature="D->dD" if m.dtype.kind == "c" else "d->dd")

@@ -29,10 +29,14 @@ KRAUS_FLOOR = 1e-14
 # [m, n] holds P_n P_m, the products in the trace-preservation sum of a chi.
 _PAULI_PRODUCTS = PAULIS[None, :] @ PAULIS[:, None]
 _PAULI_PRODUCTS.flags.writeable = False
-# Least dark-noise weight p whose lift p/4 of every eigenvalue clears the
-# eigensolver's rounding error on a unit-trace 4x4 state (~1e-15) a
-# thousandfold; a lighter admixture takes the full eigenvalue check.
-_LIFT_MIN_WEIGHT = 4e-12
+# Least dark-noise weight p at which the mixture of a checked, normalized
+# state needs none of the state checks.  The mix scales the state's
+# Hermiticity and trace errors by 1 - p, which takes p * 1e-10 >= 1e-14 off an
+# error at its tolerance, eight times the rounding the mix adds (< 1.2e-15),
+# and lifts every eigenvalue by p/4, far above the eigensolver's rounding
+# (~1e-15).  A lighter admixture, or one of a subnormalized state, takes the
+# full check.
+_LIFT_MIN_WEIGHT = 1e-4
 # the PBS extinction ratio; inf: no leakage
 PBS_EXTINCTION = rules.above(1)
 # the signal-to-noise ratio of the counts; inf: no dark noise
@@ -138,15 +142,14 @@ def dark_noise_admixture(rho: DensityMatrix, snr: float) -> DensityMatrix:
     rules.check("snr", SNR, snr)
     p = 1.0 / (snr + 1.0)
     mixed = (1 - p) * rho.matrix + p * np.eye(4) / 4
-    if p < _LIFT_MIN_WEIGHT:
+    if rho.subnormalized or p < _LIFT_MIN_WEIGHT:
         return DensityMatrix(mixed)
-    # every eigenvalue of the checked state rises by p/4, so the check's
-    # clip of rounding-level negatives cannot fire
-    return DensityMatrix._lifted(mixed)
+    return DensityMatrix._built(mixed, lifted=True)
 
 
 def dark_noise_infidelity(snr: float, dim: int = 4) -> float:
     """Fidelity loss of a pure target under the admixture: p (1 - 1/D)."""
+    rules.check("snr", SNR, snr)
     p = 1.0 / (snr + 1.0)
     return p * (1 - 1 / dim)
 

@@ -141,9 +141,9 @@ class PureState:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-def _hermitian_with_trace(matrix, subnormalized: bool) -> tuple[np.ndarray, float]:
-    """A complex copy of a density-matrix candidate and its trace, after the
-    shape, finiteness, Hermiticity and trace checks."""
+def _hermitian_with_trace(matrix, subnormalized: bool) -> np.ndarray:
+    """A complex copy of a density-matrix candidate, after the shape,
+    finiteness, Hermiticity and trace checks."""
     m = _checked_hermitian(matrix, "density matrix")
     tr = float(m.trace().real)
     if subnormalized:
@@ -151,7 +151,27 @@ def _hermitian_with_trace(matrix, subnormalized: bool) -> tuple[np.ndarray, floa
             raise StateError(f"subnormalized trace {tr} outside [0, 1]")
     elif not abs(tr - 1.0) <= TRACE_TOL:
         raise StateError(f"trace {tr} deviates from 1 by more than {TRACE_TOL}")
-    return m, tr
+    return m
+
+
+def _checked_spectrum(m: np.ndarray) -> np.ndarray:
+    """A complex Hermitian ``m`` after the eigenvalue check, read-only: ``m``
+    itself, or where its lowest eigenvalue lies in (EIG_FLOOR, 0), a copy
+    with its negative eigenvalues clipped to zero and rescaled to its trace."""
+    # NaN where np.linalg.eigvalsh(m) would raise LinAlgError
+    lowest = linalg.eigvalsh(m)[0]  # ascending
+    if not lowest >= EIG_FLOOR:
+        if math.isnan(lowest):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        raise StateError(f"negative eigenvalue {lowest} below floor {EIG_FLOOR}")
+    if lowest < 0.0:
+        tr = float(m.trace().real)
+        w, v = linalg.eigh(m)
+        w = np.clip(w, 0.0, None)
+        m = v @ np.diag(w) @ v.conj().T
+        if w.sum() > 0 and tr > 0:
+            m *= tr / w.sum()
+    return _read_only(m)
 
 
 @dataclass(frozen=True)
@@ -168,32 +188,20 @@ class DensityMatrix:
     subnormalized: bool = False
 
     def __post_init__(self):
-        m, tr = _hermitian_with_trace(self.matrix, self.subnormalized)
-        # NaN where np.linalg.eigvalsh(m) would raise LinAlgError
-        lowest = linalg.eigvalsh(m)[0]  # ascending
-        if not lowest >= EIG_FLOOR:
-            if math.isnan(lowest):
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            raise StateError(f"negative eigenvalue {lowest} below floor {EIG_FLOOR}")
-        if lowest < 0.0:
-            # clip rounding-level negatives, rescale to the original trace
-            w, v = np.linalg.eigh(m)
-            w = np.clip(w, 0.0, None)
-            m = v @ np.diag(w) @ v.conj().T
-            if w.sum() > 0 and tr > 0:
-                m *= tr / w.sum()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        m = _hermitian_with_trace(self.matrix, self.subnormalized)
+        object.__setattr__(self, "matrix", _checked_spectrum(m))
 
     @classmethod
-    def _lifted(cls, matrix) -> "DensityMatrix":
-        """A normalized state whose eigenvalues are known to lie far above
-        rounding error, such as a checked state mixed with I/4: every check
-        of the constructor but the eigenvalue one, whose clip could not fire."""
-        m, _ = _hermitian_with_trace(matrix, False)
-        m.flags.writeable = False
+    def _built(cls, matrix: np.ndarray, lifted: bool = False) -> "DensityMatrix":
+        """The normalized state of a complex matrix the package built Hermitian
+        and of unit trace, taken without a copy: the constructor's checks but
+        the shape, finiteness, Hermiticity and trace ones, which such a matrix
+        passes.  ``lifted``: its eigenvalues are also known to lie far above
+        rounding error (a checked state mixed with I/4), so the eigenvalue
+        check could not fail nor its clip fire, and it is skipped too."""
         state = object.__new__(cls)
-        object.__setattr__(state, "matrix", m)
+        object.__setattr__(state, "matrix",
+                           _read_only(matrix) if lifted else _checked_spectrum(matrix))
         object.__setattr__(state, "subnormalized", False)
         return state
 

@@ -71,6 +71,10 @@ class RunReport:
         }
 
 
+# The scenarios whose state runs through the pipeline: the tomography ones.
+PIPELINE_SCENARIOS = ("ion_photon", "post_qfc", "ti_qm")
+
+
 def _white_noise(bell_infidelity: float) -> np.ndarray:
     """(1 - q) rho + q I/4, q = eps/(3/4): a factor 1 - q on every Pauli but II."""
     q = qstate.unit_interval("depolarizing probability", bell_infidelity / 0.75)
@@ -83,7 +87,10 @@ def pipeline_stages(cfg: ExperimentConfig, scenario: str) -> list[tuple[str, np.
     = P_a (x) P_b at k = 4 a + b: a Pauli-diagonal stage as its 16 factors (np.repeat of
     one-qubit factors on the ion a, np.tile on the photon b), the heralded storage
     diag(sqrt eta_H, sqrt eta_V) as a (4, 4) map of b.  Each checks its inputs as its
-    Kraus builder does."""
+    Kraus builder does; a scenario without a pipeline raises ValueError."""
+    if scenario not in PIPELINE_SCENARIOS:
+        raise ValueError(f"scenario {scenario!r} has no pipeline: expected one of "
+                         f"{', '.join(PIPELINE_SCENARIOS)}")
     pl, storage = cfg.section("pipeline"), cfg.section("storage")
     c_ion = qstate.unit_interval("coherence factor", decoherence_coherence(
         cfg.ion, cfg.scenario_section(scenario)["decoherence_time_us"],
@@ -123,6 +130,7 @@ def analytic_pipeline_state(cfg: ExperimentConfig, scenario: str):
     The chain acts on the Pauli vector r; the state is built and checked once, at
     the end.  The breakdown lists the fidelity against the phase-zero target after
     each stage, post-selected where heralded: (r_II + r_ZZ)/4 + (r_XX - r_YY)/4.
+    A scenario outside PIPELINE_SCENARIOS raises ValueError.
     """
     rho = emit_entangled_state(cfg.ion, t_elapsed_ns=0.0).density()
     r = np.einsum("kab,ba->k", qstate.PAULIS_2Q, rho.matrix).real
@@ -390,8 +398,6 @@ def emit_report(report: RunReport, out_dir: str | Path, fmt: str = "json") -> li
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
     out = Path(out_dir)
-    if not out.is_dir():  # mkdir raises and catches FileExistsError otherwise
-        out.mkdir(parents=True, exist_ok=True)
     stem = f"{report.scenario}_seed{report.seed}"
 
     doc = report.to_json_dict()
@@ -403,7 +409,14 @@ def emit_report(report: RunReport, out_dir: str | Path, fmt: str = "json") -> li
         matrix_text = _json_text(matrix)
         text = text.replace('\n  "matrix": null,\n',
                             '\n  "matrix": ' + matrix_text.replace("\n", "\n  ") + ",\n", 1)
-    written = [_write(out / f"{stem}_summary.json", text)]
+    summary = out / f"{stem}_summary.json"
+    try:
+        written = [_write(summary, text)]
+    except (FileNotFoundError, NotADirectoryError):
+        # out_dir is missing (or a file, which mkdir reports); an existing
+        # directory costs no stat per report
+        out.mkdir(parents=True, exist_ok=True)
+        written = [_write(summary, text)]
 
     if matrix is not None:
         written.append(_write(out / f"{stem}_matrix.json", matrix_text + "\n"))

@@ -109,6 +109,28 @@ class CountRecord:
         object.__setattr__(self, "counts", counts)
 
 
+# Shots at or below this sum as floats without rounding, counts included.
+_EXACT_SHOTS = 2 ** 53
+
+
+def _sampled_records(settings, rows: list, shots: list) -> list[CountRecord]:
+    """A CountRecord per setting of multinomial rows (lists of ints) drawn with
+    ``shots``.  Where every shot value is an int up to _EXACT_SHOTS the rows
+    are whole, nonnegative and sum to their shots exactly in floats, so no
+    check of the constructor could fail, and none runs; the counts are
+    stored as floats all the same."""
+    if not all(type(n) is int and n <= _EXACT_SHOTS for n in shots):
+        return [CountRecord(s, tuple(row), n) for s, row, n in zip(settings, rows, shots)]
+    records = []
+    for s, row, n in zip(settings, rows, shots):
+        record = object.__new__(CountRecord)
+        object.__setattr__(record, "setting", s)
+        object.__setattr__(record, "counts", tuple(map(float, row)))
+        object.__setattr__(record, "shots", n)
+        records.append(record)
+    return records
+
+
 def _with_dark_noise(rho: DensityMatrix, snr: float | None) -> DensityMatrix:
     return rho if snr is None or math.isinf(snr) else dark_noise_admixture(rho, snr)
 
@@ -142,8 +164,7 @@ def simulate_tomography(rho: DensityMatrix, shots_per_setting, snr: float | None
     state = _with_dark_noise(rho, snr)
     p = np.clip(np.real(np.einsum("snij,ji->sn", _GRID, state.matrix)), 0.0, None)
     counts = rng.multinomial(shots, p / p.sum(axis=1, keepdims=True))
-    return [CountRecord(setting=s, counts=tuple(row), shots=n)
-            for s, row, n in zip(_SETTINGS, counts.tolist(), shots)]
+    return _sampled_records(_SETTINGS, counts.tolist(), shots)
 
 
 def split_heralds(total: int, n_settings: int = 9) -> list[int]:
@@ -169,8 +190,9 @@ _PAULIS_FLAT = PAULIS_2Q.reshape(16, 16)
 # the diagonal, then the imaginary parts of those below it (flat indices).
 _LOWER = np.ravel_multi_index(np.tril_indices(4), (4, 4))
 _STRICT = np.ravel_multi_index(np.tril_indices(4, -1), (4, 4))
-# Eigenvalue floor of the least-squares start, which keeps T at full rank.
-_START_FLOOR = 1e-4
+# Eigenvalue floor of the least-squares start, which keeps T at full rank
+# and a rank-deficient optimum's start next to it.
+_START_FLOOR = 1e-8
 _FLOOR_EYE = _START_FLOOR * np.eye(4)
 # Largest accepted final gradient norm of the log-likelihood per count, taken
 # at tr(T T^dag) = 1.  Converged fits end at or below _STEP_TOL = 1e-9.
@@ -293,9 +315,12 @@ def _start(rho: np.ndarray) -> np.ndarray:
     h = (rho + rho.conj().T) / 2
     if linalg.cholesky(h - _FLOOR_EYE) is not None:
         return _pack_lower(linalg.cholesky(h / h.trace().real))
-    w, v = np.linalg.eigh(h)
+    w, v = linalg.eigh(h)
     w = np.maximum(w, _START_FLOOR)
-    return _pack_lower(np.linalg.cholesky((v * (w / w.sum())) @ v.conj().T))
+    t = linalg.cholesky((v * (w / w.sum())) @ v.conj().T)
+    if t is None:
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    return _pack_lower(t)
 
 
 def _cholesky_fails(a: np.ndarray) -> bool:
@@ -331,7 +356,7 @@ def _newton(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]:
         diagonal += 2.0
         damping = 0.1 * grad_norm
         if _cholesky_fails(hess):
-            lam, vec = np.linalg.eigh(hess)
+            lam, vec = linalg.eigh(hess)
             step = -vec @ ((vec.T @ grad) / (np.abs(lam) + damping))
         else:
             diagonal += damping
@@ -358,9 +383,12 @@ def mle_reconstruct(records: list[CountRecord]) -> DensityMatrix:
     Gaussian approximation: a weighted least-squares fit of the Pauli
     expectations to the frequencies, with Neyman's weights and then once
     with Pearson's (Neyman, Proc. 1st Berkeley Symp., 239, 1949), its
-    eigenvalues clipped to a small floor where one falls under it; on
-    bright counts that start lies one step from the optimum.  Each step is
-    a damped Newton step on the tangent space, with the Hessian
+    eigenvalues floored at _START_FLOOR = 1e-8 where one falls under it.  At
+    low counts the optimum is most often rank-deficient, with a diagonal
+    entry of T at 0 (Blume-Kohout, arXiv:1202.5270), and a start that close
+    to the boundary lies next to it; on bright counts the start lies one
+    step from the optimum.  Each step is a damped Newton step on the
+    tangent space, with the Hessian
     H_t = P H P + x x^T (P = I - x x^T): d = -(H_t + 0.1 |g| I)^-1 g when a
     Cholesky factorization shows H_t positive definite (most steps), and
     otherwise the saddle-free step d = -V diag(1 / (|lambda| + 0.1 |g|)) V^T g
@@ -372,7 +400,9 @@ def mle_reconstruct(records: list[CountRecord]) -> DensityMatrix:
     _STEP_TOL) therefore starts once more from its own state, with the
     eigenvalues floored again.  Raises NonConvergenceError when the result
     is not finite or its final gradient norm per count still exceeds
-    ``GRADIENT_TOL``.
+    ``GRADIENT_TOL``.  The converged x is finite with unit norm, so T T^dag
+    is Hermitian with unit trace by construction; of the state checks only
+    the eigenvalue check and its clip of rounding-level negatives run.
     """
     return _fit(*_grid_counts(records))
 
@@ -389,8 +419,9 @@ def _fit(counts: np.ndarray, shots: np.ndarray) -> DensityMatrix:
         raise NonConvergenceError(
             f"MLE stopped at gradient norm {grad_norm:.3e} per count "
             f"(limit {GRADIENT_TOL:g})", grad_norm)
+    # x is finite and of unit norm, so T T^dag is Hermitian with unit trace
     t = _unpack_lower(x)
-    return DensityMatrix(t @ t.conj().T)
+    return DensityMatrix._built(t @ t.conj().T)
 
 
 def records_from_probabilities(rho: DensityMatrix, shots: float = 1.0,
@@ -545,11 +576,11 @@ def bootstrap_uncertainty(records: list[CountRecord], n_resamples: int,
     target = bell_state(0.0)
     rng = as_rng(rng_seed)
     shots = [int(r.shots) for r in records]
+    settings = [r.setting for r in records]
     freqs = np.array([r.counts for r in records]) / np.array([r.shots for r in records])[:, None]
     estimates = np.empty(n_resamples)
     for i in range(n_resamples):
         draws = rng.multinomial(shots, freqs)  # row k as one call for record k draws it
-        rho = mle_reconstruct([CountRecord(r.setting, tuple(row), n)
-                               for r, row, n in zip(records, draws.tolist(), shots)])
+        rho = mle_reconstruct(_sampled_records(settings, draws.tolist(), shots))
         estimates[i] = fidelity(rho, target)
     return float(estimates.mean()), float(estimates.std(ddof=1))

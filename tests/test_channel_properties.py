@@ -41,7 +41,12 @@ from hqlink.qstate import (
     kron,
     white_noise_channel,
 )
-from hqlink.scenarios import analytic_pipeline_state, pipeline_stages
+from hqlink.scenarios import (
+    PIPELINE_SCENARIOS,
+    analytic_fidelity,
+    analytic_pipeline_state,
+    pipeline_stages,
+)
 
 # chsh samples the ti_qm link and has no pipeline of its own
 TOMOGRAPHY_SCENARIOS = ("ion_photon", "post_qfc", "ti_qm")
@@ -371,6 +376,16 @@ class TestPipelineChannelProperties:
         with pytest.raises(ConfigError, match=f"^invalid configuration:\n  "
                                               f"scenarios.chsh.{key}: unknown field$"):
             ExperimentConfig.defaults("chsh", scenarios={"chsh": {key: 28.0}})
+
+
+@pytest.mark.parametrize("scenario", ["chsh", "budget", "nonsense"])
+def test_scenario_without_a_pipeline_is_named(scenario):
+    assert PIPELINE_SCENARIOS == TOMOGRAPHY_SCENARIOS
+    cfg = ExperimentConfig.defaults("ti_qm")
+    for fn in (pipeline_stages, analytic_pipeline_state, analytic_fidelity):
+        with pytest.raises(ValueError, match=f"^scenario '{scenario}' has no pipeline: "
+                                             "expected one of ion_photon, post_qfc, ti_qm$"):
+            fn(cfg, scenario)
 
 
 def assert_chains_agree(cfg: ExperimentConfig, scenario: str):

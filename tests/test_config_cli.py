@@ -293,6 +293,26 @@ class TestScenarioRuns:
         files = emit_report(rep, tmp_path)
         assert all("budget_seed31" in f.name for f in files)
 
+    def test_missing_output_directory_is_made(self, tmp_path):
+        # with its parents; a path that is a file raises as mkdir does
+        rep = run(ExperimentConfig.defaults("budget"))
+        files = emit_report(rep, tmp_path / "a" / "b")
+        assert {f.parent for f in files} == {tmp_path / "a" / "b"}
+        assert [f.name for f in files] == [f.name for f in emit_report(rep, tmp_path)]
+        (tmp_path / "file").write_text("")
+        with pytest.raises(FileExistsError):
+            emit_report(rep, tmp_path / "file")
+        with pytest.raises(NotADirectoryError):
+            emit_report(rep, tmp_path / "file" / "below")
+
+    def test_report_into_an_existing_directory_stats_nothing(self, tmp_path, monkeypatch):
+        rep = run(ExperimentConfig.defaults("budget"))
+        stats = []
+        stat = os.stat
+        monkeypatch.setattr(os, "stat", lambda *args, **kw: stats.append(args) or stat(*args, **kw))
+        emit_report(rep, tmp_path)
+        assert stats == []
+
     def test_csv_summary_format(self, tmp_path):
         rep = run(ExperimentConfig.defaults("budget"))
         files = emit_report(rep, tmp_path, fmt="csv")

@@ -60,6 +60,7 @@ from hqlink.photon import (
     SNR,
     JitterParams,
     dark_noise_admixture,
+    dark_noise_infidelity,
     depolarizing_chi,
     pbs_bitflip_channel,
 )
@@ -488,6 +489,7 @@ BUILDER_RULES = [
     (lambda v: emit_entangled_state(ION, v), "t_elapsed_ns", rules.FINITE_NONNEGATIVE, None),
     (lambda v: dark_noise_admixture(bell_state(0.0).density(), v), "snr", SNR,
      "scenarios.ti_qm.snr"),
+    (dark_noise_infidelity, "snr", SNR, "scenarios.ti_qm.snr"),
 ]
 
 

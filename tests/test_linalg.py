@@ -23,7 +23,7 @@ from hqlink.tomography import (
     split_heralds,
 )
 
-KERNELS = ("_cholesky_lo", "_solve1", "_eigvalsh_lo")
+KERNELS = ("_cholesky_lo", "_solve1", "_eigvalsh_lo", "_eigh_lo")
 
 # ti_qm counts on which the first Newton pass stalls and the fit restarts
 STALLED = [[85, 3, 7, 103], [49, 65, 42, 42], [64, 50, 41, 43], [55, 53, 38, 52],
@@ -66,7 +66,8 @@ def fits() -> list[bytes]:
 
 def state_outcomes() -> list:
     """What DensityMatrix makes of a clipped, a rejected and a
-    non-converging input."""
+    non-converging input, and of a clipped one whose eigenvectors do not
+    converge."""
     out = []
     clipped = werner(1.0).matrix.copy()
     clipped[1, 1] -= 5e-10
@@ -86,6 +87,17 @@ def state_outcomes() -> list:
             patch.setattr(linalg, "_eigvalsh_lo", nonconverging)
         with pytest.raises(np.linalg.LinAlgError) as err:
             DensityMatrix(werner(0.5).matrix)
+        out.append(str(err.value))
+    with pytest.MonkeyPatch.context() as patch:
+        def nonconverging_eigh(a, signature=None):
+            nan = np.zeros(a.shape[-1]) / np.zeros(a.shape[-1])
+            return nan, np.full(a.shape, nan[0], dtype=a.dtype)
+
+        patch.setattr(_umath_linalg, "eigh_lo", nonconverging_eigh)
+        if linalg._eigh_lo is not None:
+            patch.setattr(linalg, "_eigh_lo", nonconverging_eigh)
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            DensityMatrix(clipped)
         out.append(str(err.value))
     return out
 

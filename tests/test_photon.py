@@ -24,7 +24,9 @@ from hqlink.photon import (
     process_matrix_channel,
 )
 from hqlink.qstate import (
+    HERMITIAN_TOL,
     PAULIS,
+    TRACE_TOL,
     DensityMatrix,
     PureState,
     StateError,
@@ -33,6 +35,7 @@ from hqlink.qstate import (
     bell_state,
     fidelity,
     trace_distance,
+    werner,
 )
 
 
@@ -160,10 +163,13 @@ class TestDarkNoise:
 
     # snr = 0 is rejected by the rule the config's scenarios.*.snr takes: a
     # run whose counts are all noise has no state to reconstruct
-    @pytest.mark.parametrize("snr", [-1.0, math.nan, 0.0])
+    @pytest.mark.parametrize("snr", [-1.0, -0.5, math.nan, 0.0])
     def test_nonpositive_or_nan_snr_rejected(self, snr):
         with pytest.raises(ValueError, match=r"^snr: expected a number > 0, got "):
             dark_noise_admixture(bell_state(0.0).density(), snr)
+        # the ledger's model of the same admixture takes the same rule
+        with pytest.raises(ValueError, match=r"^snr: expected a number > 0, got "):
+            dark_noise_infidelity(snr)
 
     def test_least_snr_fully_mixed(self):
         # the least positive float: p = 1/(snr + 1) rounds to 1
@@ -187,6 +193,39 @@ class TestDarkNoise:
             # rank-deficient state need not be idempotent
             assert again.matrix.tobytes() == out.matrix.tobytes()
 
+    # SNRs whose weight p = 1/(snr + 1) lies well above, at and under the
+    # least weight that skips the checks
+    @pytest.mark.parametrize("snr", [28.0, 1800.0, 1 / _LIFT_MIN_WEIGHT - 1,
+                                     math.nextafter(1 / _LIFT_MIN_WEIGHT - 1, math.inf),
+                                     1e6, 1e7, 1e12, 1e15])
+    @pytest.mark.parametrize("trace_side", [-1, 0, 1])
+    def test_mixture_of_a_state_at_its_tolerances_keeps_the_full_check(self, snr, trace_side):
+        # states that pass the Hermiticity and trace checks at their
+        # tolerances: the mixture has the full check's outcome, bit for bit
+        # or the same error, whether or not its checks run.  Under a weight
+        # of ~1e-5 the mixture of some of these fails the trace check.
+        rng = np.random.default_rng(7)
+        candidates = [random_state(rng).matrix for _ in range(6)]
+        for where in ((0, 1), (2, 3)):
+            for direction in (1, -1, 1j, -1j):
+                m = werner(0.8).matrix.copy()
+                m[where] += HERMITIAN_TOL * direction
+                candidates.append(m)
+        p = 1.0 / (snr + 1.0)
+        for m in candidates:
+            rho = state_at_trace_tolerance(m, trace_side)
+            assert (outcome(dark_noise_admixture, rho, snr)
+                    == outcome(DensityMatrix, (1 - p) * rho.matrix + p * np.eye(4) / 4))
+
+    def test_subnormalized_state_takes_the_full_check(self):
+        # the trace check runs on the mixture of a heralded state: a trace of
+        # 1/2 is rejected, a trace of 1 is mixed as a normalized state is
+        with pytest.raises(StateError, match="^trace 0.5"):
+            dark_noise_admixture(DensityMatrix(werner(0.8).matrix / 2, subnormalized=True), 28.0)
+        unit = DensityMatrix(werner(0.8).matrix, subnormalized=True)
+        assert (dark_noise_admixture(unit, 28.0).matrix.tobytes()
+                == dark_noise_admixture(werner(0.8), 28.0).matrix.tobytes())
+
     def test_commutes_with_pbs(self):
         rng = np.random.default_rng(4)
         pbs = pbs_bitflip_channel(200.0)
@@ -208,6 +247,33 @@ class TestDarkNoise:
         eye4 = DensityMatrix(np.eye(4, dtype=complex) / 4)
         np.testing.assert_allclose(dark_noise_admixture(eye4, 9.0).matrix, eye4.matrix,
                                    atol=1e-12)
+
+
+def state_at_trace_tolerance(m: np.ndarray, side: int) -> DensityMatrix:
+    """The state of m with m[0, 0] moved by the offset of sign ``side`` nearest
+    TRACE_TOL that the trace check passes (to 1e-25, by bisection)."""
+    inside, outside = 0.0, 2 * TRACE_TOL
+    while side and outside - inside > 1e-25:
+        mid = (inside + outside) / 2
+        moved = m.copy()
+        moved[0, 0] += side * mid
+        try:
+            DensityMatrix(moved)
+        except StateError:
+            outside = mid
+        else:
+            inside = mid
+    moved = m.copy()
+    moved[0, 0] += side * inside
+    return DensityMatrix(moved)
+
+
+def outcome(fn, *args):
+    """fn(*args)'s matrix bits, or its error's type and message."""
+    try:
+        return fn(*args).matrix.tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 class TestProcessMatrix:
